@@ -16,8 +16,10 @@
 //   }
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,8 +36,13 @@ class Args {
   void add_bool(const std::string& name, const std::string& help, bool* out) {
     add(name, help, *out ? "true" : "false", Kind::kBool, out);
   }
-  void add_int(const std::string& name, const std::string& help, int* out) {
+  /// Integer flag; out-of-range values are a usage error. A non-empty
+  /// `allowed` restricts it to that set, named in the error like a choice
+  /// flag's values (fig2's --threads accepts 0, 1, 2, 4 or 8).
+  void add_int(const std::string& name, const std::string& help, int* out,
+               const std::vector<int>& allowed = {}) {
     add(name, help, std::to_string(*out), Kind::kInt, out);
+    for (int v : allowed) flags_.back().choices.push_back(std::to_string(v));
   }
   void add_size(const std::string& name, const std::string& help,
                 std::size_t* out) {
@@ -128,20 +135,10 @@ class Args {
         *static_cast<bool*>(f->out) = true;
         continue;
       }
-      if (f->kind == Kind::kChoice) {
-        const std::string v = arg.substr(eq + 1);
-        bool known = false;
-        for (const std::string& c : f->choices) known |= c == v;
-        if (!known) {
-          return error("bad value for '--" + name + "': '" + v +
-                       "' (expected " + spell_choices(f->choices) + ")");
-        }
-        *static_cast<std::string*>(f->out) = v;
-        continue;
-      }
-      if (!assign(*f, arg.substr(eq + 1))) {
-        return error("bad value for '--" + name + "': '" + arg.substr(eq + 1) +
-                     "'");
+      const std::string v = arg.substr(eq + 1);
+      std::string why;
+      if (!assign(*f, v, &why)) {
+        return error("bad value for '--" + name + "': '" + v + "'" + why);
       }
     }
     for (std::size_t p = next_pos; p < positionals_.size(); ++p) {
@@ -182,7 +179,7 @@ class Args {
       std::string left = "--" + f.name;
       if (f.kind == Kind::kOptString) {
         left += std::string("[=<") + type_name(f.kind) + ">]";
-      } else if (f.kind == Kind::kChoice) {
+      } else if (!f.choices.empty()) {
         left += "=<" + bar_choices(f.choices) + ">";
       } else if (f.kind != Kind::kBool) {
         left += std::string("=<") + type_name(f.kind) + ">";
@@ -207,7 +204,7 @@ class Args {
       std::string spelled = "`--" + f.name;
       if (f.kind == Kind::kOptString) {
         spelled += std::string("[=<") + type_name(f.kind) + ">]";
-      } else if (f.kind == Kind::kChoice) {
+      } else if (!f.choices.empty()) {
         spelled += "=<" + bar_choices(f.choices) + ">";
       } else if (f.kind != Kind::kBool) {
         spelled += std::string("=<") + type_name(f.kind) + ">";
@@ -229,7 +226,7 @@ class Args {
     Kind kind;
     void* out;
     std::string bare_value;  // kOptString only: value a bare `--name` assigns
-    std::vector<std::string> choices;  // kChoice only: the valid value set
+    std::vector<std::string> choices;  // kChoice/kInt: the valid value set
   };
   struct Positional {
     std::string name;
@@ -261,8 +258,12 @@ class Args {
     return nullptr;
   }
 
-  static bool assign(Flag& f, const std::string& v) {
+  /// Store `v` into the flag's destination. On failure returns false and
+  /// sets *why to a parenthesized hint (empty when the spelling is simply
+  /// malformed).
+  static bool assign(Flag& f, const std::string& v, std::string* why) {
     char* end = nullptr;
+    errno = 0;
     switch (f.kind) {
       case Kind::kBool:
         if (v == "1" || v == "true") { *static_cast<bool*>(f.out) = true; return true; }
@@ -271,12 +272,25 @@ class Args {
       case Kind::kInt: {
         const long n = std::strtol(v.c_str(), &end, 10);
         if (v.empty() || *end != '\0') return false;
+        if (errno == ERANGE || n < std::numeric_limits<int>::min() ||
+            n > std::numeric_limits<int>::max()) {
+          *why = " (out of range)";
+          return false;
+        }
+        if (!f.choices.empty() && !is_choice(f, std::to_string(n))) {
+          *why = " (expected " + spell_choices(f.choices) + ")";
+          return false;
+        }
         *static_cast<int*>(f.out) = static_cast<int>(n);
         return true;
       }
       case Kind::kSize: {
         const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
         if (v.empty() || *end != '\0' || v[0] == '-') return false;
+        if (errno == ERANGE) {
+          *why = " (out of range)";
+          return false;
+        }
         *static_cast<std::size_t*>(f.out) = static_cast<std::size_t>(n);
         return true;
       }
@@ -290,6 +304,20 @@ class Args {
       case Kind::kOptString:
         *static_cast<std::string*>(f.out) = v;
         return true;
+      case Kind::kChoice:
+        if (!is_choice(f, v)) {
+          *why = " (expected " + spell_choices(f.choices) + ")";
+          return false;
+        }
+        *static_cast<std::string*>(f.out) = v;
+        return true;
+    }
+    return false;
+  }
+
+  static bool is_choice(const Flag& f, const std::string& v) {
+    for (const std::string& c : f.choices) {
+      if (c == v) return true;
     }
     return false;
   }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "bench/args.h"
 #include "sim/config.h"
 #include "sim/json_parse.h"
+#include "sim/machine.h"
 #include "sim/report.h"
 #include "sim/telemetry.h"
 
@@ -112,6 +114,13 @@ class BenchIo {
   /// The underlying parser, for bench-specific flag declarations.
   Args& args() { return args_; }
 
+  /// --threads for the benches that scale over 1/2/4/8 threads: 0 runs all
+  /// four, any other value outside the set is a usage error.
+  void add_scaling_threads(int* out) {
+    args_.add_int("threads", "run only this thread count (0 = 1/2/4/8)", out,
+                  {0, 1, 2, 4, 8});
+  }
+
   /// Parse the command line; false means exit with exit_code() (help was
   /// printed, or a usage error was reported).
   bool parse() {
@@ -149,6 +158,7 @@ class BenchIo {
       args_.fail("--sockets and --slices must be non-negative");
       return false;
     }
+    if (!check_machine_flags()) return false;
     if (report_ || !json_path_.empty() || !trace_path_.empty()) {
       sim::TelemetryOptions opt;
       opt.collect_attempts = !trace_path_.empty();
@@ -171,10 +181,7 @@ class BenchIo {
     mc.backend = backend_;
     mc.tx_policy = tx_policy_;
     mc.alloc_strategy = alloc_strategy_;
-    if (l1_bytes_ != 0) mc.l1_bytes = static_cast<std::uint32_t>(l1_bytes_);
-    if (l1_ways_ != 0) mc.l1_ways = static_cast<std::uint32_t>(l1_ways_);
-    if (llc_bytes_ != 0) mc.llc_bytes = static_cast<std::uint32_t>(llc_bytes_);
-    if (llc_ways_ != 0) mc.llc_ways = static_cast<std::uint32_t>(llc_ways_);
+    apply_cache_geometry(mc);
     mc.set_stats = set_stats_;
     if (sockets_ != 0) mc.topology.num_sockets = sockets_;
     if (slices_ != 0) mc.topology.llc_slices = slices_;
@@ -248,6 +255,39 @@ class BenchIo {
   }
 
  private:
+  void apply_cache_geometry(sim::MachineConfig& mc) const {
+    if (l1_bytes_ != 0) mc.l1_bytes = static_cast<std::uint32_t>(l1_bytes_);
+    if (l1_ways_ != 0) mc.l1_ways = static_cast<std::uint32_t>(l1_ways_);
+    if (llc_bytes_ != 0) mc.llc_bytes = static_cast<std::uint32_t>(llc_bytes_);
+    if (llc_ways_ != 0) mc.llc_ways = static_cast<std::uint32_t>(llc_ways_);
+  }
+
+  /// Build a default machine with the cache-geometry flags applied so that
+  /// an invalid shape (e.g. --llc-ways=3 leaves a set count that is not a
+  /// power of two) is a usage error naming the problem, not a SimError
+  /// escaping main mid-run. Topology stays at the model default: core and
+  /// socket counts are bench-specific, so each bench checks its own.
+  bool check_machine_flags() {
+    if (l1_bytes_ == 0 && l1_ways_ == 0 && llc_bytes_ == 0 && llc_ways_ == 0) {
+      return true;
+    }
+    for (std::size_t v : {l1_bytes_, l1_ways_, llc_bytes_, llc_ways_}) {
+      if (v > std::numeric_limits<std::uint32_t>::max()) {
+        args_.fail("cache geometry flags must fit in 32 bits");
+        return false;
+      }
+    }
+    sim::MachineConfig probe;
+    apply_cache_geometry(probe);
+    try {
+      sim::Machine m(probe);
+    } catch (const sim::SimError& e) {
+      args_.fail(e.what());
+      return false;
+    }
+    return true;
+  }
+
   std::string bench_name_;
   int argc_;
   char** argv_;

@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   std::string workload_filter;
   std::string scheme_filter;
   bool ref = true;
-  io.args().add_int("threads", "run only this thread count (0 = 1/2/4/8)",
-                    &threads);
+  io.add_scaling_threads(&threads);
   std::vector<std::string> workload_names;
   for (const auto& w : stamp::all_workloads()) workload_names.push_back(w.name);
   io.args().add_choice("workload", "run only this STAMP workload",

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   int threads = 0;
   std::string workload_filter;
   std::string scheme_filter;
-  io.args().add_int("threads", "run only this thread count (0 = 1/2/4/8)",
-                    &threads);
+  io.add_scaling_threads(&threads);
   io.args().add_string("workload", "run only this RMS-TM workload",
                        &workload_filter);
   io.args().add_string("scheme", "run only this scheme (fgl, sgl, tsx)",

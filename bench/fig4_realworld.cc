@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
                     "real-world workload scaling vs baseline (Figure 4)");
   int threads = 0;
   std::string workload_filter;
-  io.args().add_int("threads", "run only this thread count (0 = 1/2/4/8)",
-                    &threads);
+  io.add_scaling_threads(&threads);
   io.args().add_string("workload", "run only this workload", &workload_filter);
   if (!io.parse()) return io.exit_code();
   const double scale = io.quick() ? 0.25 : 1.0;

@@ -78,10 +78,6 @@ void Context::tx_backoff(Cycles cycles) {
 
 void Context::tx_account_start() {
   tx_start_clock_ = now();
-  if (TraceLog* t = m_.trace()) {
-    t->record({TraceEvent::Kind::kBegin, tid_, now(), AbortCause::kNone, 0,
-               0});
-  }
 }
 
 void Context::tx_account_end(bool committed, AbortCause cause,
@@ -100,11 +96,6 @@ void Context::tx_account_end(bool committed, AbortCause cause,
       committed ? CycleBucket::kTxCommitted : CycleBucket::kTxWasted)] +=
       tx_pending_;
   tx_pending_ = 0;
-  if (TraceLog* t = m_.trace()) {
-    t->record({committed ? TraceEvent::Kind::kCommit
-                         : TraceEvent::Kind::kAbort,
-               tid_, now(), cause, read_lines, write_lines});
-  }
   if (Telemetry* tel = m_.telemetry()) {
     tel->on_txn(tid_, tx_start_clock_, now(), committed, cause, read_lines,
                 write_lines);

@@ -3,7 +3,8 @@
 // in call order (stable across runs), doubles are printed with a fixed
 // locale-independent format, and non-finite doubles are clamped to 0 so a
 // stray NaN can never produce invalid JSON. This determinism is load-bearing:
-// telemetry goldens are diffed byte-for-byte in CI.
+// the committed baselines are compared byte-for-byte by the tier-1 gate
+// (`ctest -L baseline_test`).
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,6 @@
 #include "sim/memory.h"
 #include "sim/stats.h"
 #include "sim/telemetry.h"
-#include "sim/trace.h"
 
 namespace tsxhpc::sim {
 
@@ -25,13 +24,13 @@ namespace tsxhpc::sim {
 /// entry per thread; overrides `threads`) must be set.
 struct RunSpec {
   int threads = 1;
-  std::function<void(Context&)> body;
-  std::vector<std::function<void(Context&)>> bodies;
+  std::function<void(Context&)> body{};
+  std::vector<std::function<void(Context&)>> bodies{};
   /// Telemetry run label. Replaces the old BenchIo::label →
   /// set_next_run_label side channel: the label now rides with the run it
   /// names. Empty keeps the telemetry default ("run_<seq>", or the last
   /// explicit label with a "#N" suffix).
-  std::string label;
+  std::string label{};
 };
 
 class Machine {
@@ -66,10 +65,6 @@ class Machine {
   /// Engine of the in-flight run (used by Context; null between runs).
   Engine* engine() { return engine_.get(); }
 
-  /// Attach/detach an event trace (null = tracing off; default).
-  void set_trace(TraceLog* trace) { trace_ = trace; }
-  TraceLog* trace() { return trace_; }
-
   /// Attach/detach a telemetry collector (null = off; default). Also set
   /// automatically from MachineConfig::telemetry at construction.
   void set_telemetry(Telemetry* tel);
@@ -87,7 +82,6 @@ class Machine {
   std::unique_ptr<MemorySystem> mem_;
   FutexTable futex_;
   std::unique_ptr<Engine> engine_;
-  TraceLog* trace_ = nullptr;
   Telemetry* telemetry_ = nullptr;
 };
 

@@ -107,9 +107,9 @@ void Telemetry::end_run(const RunStats& rs) {
   // the last sampling event) into the final bucket, so each column sums
   // exactly to its run total (the CI sample-sum invariant). The v4 l1
   // columns deliberately keep their unflushed semantics: their recorded
-  // values are frozen by the v4-era goldens, which the policy-equivalence
-  // test holds to "new keys only". A run with no sampling events at all
-  // keeps an empty series (nothing to flush into).
+  // values are frozen, and the v7 baselines in bench/baselines/ pin them
+  // byte-for-byte. A run with no sampling events at all keeps an empty
+  // series (nothing to flush into).
   if (!r->samples.empty()) {
     const ThreadStats tot = rs.total();
     IntervalSample& last = r->samples.back();

@@ -20,7 +20,7 @@
 // Lifecycle: construct a Telemetry, point MachineConfig::telemetry at it (or
 // call Machine::set_telemetry), and every run of every Machine built from
 // that config appends a RunRecord. Detached (the default) every hook site is
-// a single null-check, exactly like TraceLog. All timestamps are virtual
+// a single null-check. All timestamps are virtual
 // cycles — no wall-clock time ever enters the output, so two identical runs
 // export byte-identical artifacts.
 //

@@ -16,7 +16,7 @@ using sim::ThreadId;
 using sim::TxAbort;
 
 /// The paper's Section 3 fallback handler. Every branch below reproduces the
-/// pre-seam inline loops exactly (policy_equivalence_test holds the telemetry
+/// pre-seam inline loops exactly (the committed baselines hold the telemetry
 /// byte-identical): lock-busy waits for the word to clear when
 /// spin_until_free, a cleared retry hint ends the section, everything else
 /// backs off conflict_backoff cycles — and the wait/backoff happens even when

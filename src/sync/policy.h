@@ -15,7 +15,7 @@
 // the benches' --policy= flag):
 //
 //   paper         the Section 3 handler, bit-for-bit the pre-seam behaviour
-//                 (the default; policy_equivalence_test holds it to that)
+//                 (the default; the committed baselines pin it)
 //   no-hint       ignores the abort-status retry hint: every non-lock-busy
 //                 abort is retried with backoff until the budget runs out
 //   expo-backoff  paper's decisions, but the conflict backoff doubles per

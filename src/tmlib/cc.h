@@ -17,8 +17,8 @@
 //     whose region is a real critical section (sgl, tsx).
 //   * Virtual dispatch is host-side only: a hook implementation charges
 //     exactly the simulated operations the scheme needs, so re-expressing
-//     a scheme through the seam is bit-for-bit (proven for sgl/tl2/tsx by
-//     tests/cc_equivalence_test.cc against pre-seam goldens).
+//     a scheme through the seam is bit-for-bit (for sgl/tl2/tsx the
+//     committed baselines still pin the pre-seam telemetry exactly).
 //   * Every handle keeps its own CcStats; TmThread reports them to the
 //     runtime on destruction, which merges them into the run's telemetry
 //     `cc` block (v7) — the successor of the old report_tl2 side-channel.

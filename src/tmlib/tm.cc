@@ -1,7 +1,7 @@
 // Concrete CcBackend adapters. The sgl/tl2/tsx adapters re-express the
 // pre-seam switch dispatch *exactly* — same simulated operations in the
 // same order — so their telemetry is bit-for-bit the pre-seam output
-// (tests/cc_equivalence_test.cc proves it against committed goldens). The
+// (the baselines in bench/baselines/ pin it byte-for-byte). The
 // tictoc/tictoc-hybrid/mvcc adapters share the STM retry-loop shape
 // (backoff 80 doubling to 4000, like tl2) so scheme comparisons measure
 // the algorithms, not harness skew.

@@ -61,8 +61,9 @@ class TmRuntime {
  private:
   Backend backend_;
   // Pre-seam allocation order (lock word, then TL2 clock + stripes) is load-
-  // bearing: sgl/tl2/tsx goldens were captured against this heap layout.
-  // New backends allocate their spaces inside make_cc_backend, *after*.
+  // bearing: the committed baselines pin sgl/tl2/tsx results produced on
+  // this heap layout. New backends allocate their spaces inside
+  // make_cc_backend, *after*.
   sync::ElidedLock global_lock_;
   stm::Tl2Space tl2_space_;
   Machine* machine_;

@@ -62,7 +62,9 @@ TEST_P(ContainerBackends, ListMatchesReferenceModel) {
             const auto found = list.find(tm, key);
             const auto it = model.find(key);
             EXPECT_EQ(found.has_value(), it != model.end());
-            if (found) EXPECT_EQ(*found, it->second);
+            if (found) {
+              EXPECT_EQ(*found, it->second);
+            }
           }
         }
       });
@@ -116,14 +118,18 @@ TEST_P(ContainerBackends, TreapMatchesReferenceModel) {
           case 2: {
             const auto found = map.find(tm, key);
             EXPECT_EQ(found.has_value(), model.count(key) > 0);
-            if (found) EXPECT_EQ(*found, model[key]);
+            if (found) {
+              EXPECT_EQ(*found, model[key]);
+            }
             break;
           }
           default: {
             const auto ceil = map.ceil_key(tm, key);
             const auto it = model.lower_bound(key);
             EXPECT_EQ(ceil.has_value(), it != model.end());
-            if (ceil) EXPECT_EQ(*ceil, it->first);
+            if (ceil) {
+              EXPECT_EQ(*ceil, it->first);
+            }
           }
         }
       });
@@ -173,7 +179,9 @@ TEST_P(ContainerBackends, HashMapMatchesReferenceModel) {
           default: {
             const auto found = map.find(tm, key);
             EXPECT_EQ(found.has_value(), model.count(key) > 0);
-            if (found) EXPECT_EQ(*found, model[key]);
+            if (found) {
+              EXPECT_EQ(*found, model[key]);
+            }
           }
         }
       });
@@ -264,7 +272,9 @@ TEST_P(ContainerBackends, ConcurrentMapInsertionsAllLand) {
   bool first = true;
   map.peek_inorder(m, [&](std::uint64_t k, std::uint64_t v) {
     EXPECT_EQ(v, k * 2);
-    if (!first) EXPECT_GT(k, prev);
+    if (!first) {
+      EXPECT_GT(k, prev);
+    }
     prev = k;
     first = false;
     ++n;

@@ -62,7 +62,9 @@ TEST(OmpShim, CriticalMutualExclusion) {
       }
     }});
     EXPECT_EQ(counter.peek(m), 1600u) << "elide=" << elide;
-    if (elide) EXPECT_GT(crit.stats().elided_commits, 0u);
+    if (elide) {
+      EXPECT_GT(crit.stats().elided_commits, 0u);
+    }
   }
 }
 

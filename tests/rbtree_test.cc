@@ -59,7 +59,9 @@ TYPED_TEST(OrderedMaps, RandomOpsMatchStdMap) {
             case 2: {
               const auto found = map.find(tm, key);
               EXPECT_EQ(found.has_value(), model.count(key) > 0);
-              if (found) EXPECT_EQ(*found, model[key]);
+              if (found) {
+                EXPECT_EQ(*found, model[key]);
+              }
               break;
             }
             case 3:
@@ -70,7 +72,9 @@ TYPED_TEST(OrderedMaps, RandomOpsMatchStdMap) {
               const auto ceil = map.ceil_key(tm, key);
               const auto it = model.lower_bound(key);
               EXPECT_EQ(ceil.has_value(), it != model.end());
-              if (ceil) EXPECT_EQ(*ceil, it->first);
+              if (ceil) {
+                EXPECT_EQ(*ceil, it->first);
+              }
             }
           }
         });
@@ -120,7 +124,9 @@ TYPED_TEST(OrderedMaps, ConcurrentMixedOpsKeepInvariants) {
   std::uint64_t prev = 0;
   bool first = true;
   map.peek_inorder(m, [&](std::uint64_t k, std::uint64_t v) {
-    if (!first) EXPECT_GT(k, prev);
+    if (!first) {
+      EXPECT_GT(k, prev);
+    }
     EXPECT_TRUE(v == k || v == k * 3);
     prev = k;
     first = false;

@@ -171,7 +171,9 @@ TEST(SetStats, WriteCapacityDoomChargedToTheOverflowingL1Set) {
   // The whole probe strides one set: every L1 eviction it caused lands
   // there too, and no other set saw any.
   for (std::uint32_t set = 0; set < l1->sets; ++set) {
-    if (set != target) EXPECT_EQ(l1->counters[set].evictions, 0u) << set;
+    if (set != target) {
+      EXPECT_EQ(l1->counters[set].evictions, 0u) << set;
+    }
   }
   EXPECT_GE(l1->counters[target].evictions, 1u);
 }
@@ -214,7 +216,9 @@ TEST(SetStats, ReadCapacityDoomAndDrawsChargedToTheLlcSet) {
   EXPECT_EQ(llc->counters[target].capacity_read_dooms, 1u);
   EXPECT_GE(llc->counters[target].doom_draws, 1u);
   for (std::uint32_t set = 0; set < llc->sets; ++set) {
-    if (set != target) EXPECT_EQ(llc->counters[set].doom_draws, 0u) << set;
+    if (set != target) {
+      EXPECT_EQ(llc->counters[set].doom_draws, 0u) << set;
+    }
   }
 }
 

@@ -1,21 +1,38 @@
-// Tests for the transactional event trace.
+// Tests for the per-attempt transaction record: every XBEGIN ends in
+// exactly one AttemptRec carrying its thread, cycle stamps, outcome, cause
+// and footprint (Telemetry with collect_attempts, the data behind --trace).
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sim/machine.h"
 #include "sim/shared.h"
-#include "sim/trace.h"
+#include "sim/telemetry.h"
 
 namespace tsxhpc::sim {
 namespace {
 
+TelemetryOptions attempt_options() {
+  TelemetryOptions opt;
+  opt.collect_attempts = true;
+  opt.max_attempts = 0;  // unbounded: the tests count every attempt
+  return opt;
+}
+
+std::size_t committed(const std::vector<AttemptRec>& attempts) {
+  std::size_t n = 0;
+  for (const AttemptRec& a : attempts) n += a.committed;
+  return n;
+}
+
 TEST(Trace, RecordsBeginCommitAbortWithFootprints) {
+  Telemetry tel(attempt_options());
   Machine m;
-  TraceLog trace;
-  m.set_trace(&trace);
+  m.set_telemetry(&tel);
   auto cells = SharedArray<std::uint64_t>::alloc(m, 16, 0);
   m.run({.threads = 1, .body = [&](Context& c) {
-    // A committing transaction touching 3 lines (16 cells span 2 lines;
-    // write two of them plus a read).
+    // A committing transaction touching 2 lines (16 cells span 2 lines;
+    // read one, write the other).
     c.xbegin();
     (void)cells.at(0).load(c);
     cells.at(8).store(c, 1);
@@ -28,28 +45,28 @@ TEST(Trace, RecordsBeginCommitAbortWithFootprints) {
     } catch (const TxAbort&) {
     }
   }});
-  m.set_trace(nullptr);
+  m.set_telemetry(nullptr);
 
-  ASSERT_EQ(trace.events().size(), 4u);
-  EXPECT_EQ(trace.count(TraceEvent::Kind::kBegin), 2u);
-  EXPECT_EQ(trace.count(TraceEvent::Kind::kCommit), 1u);
-  EXPECT_EQ(trace.count(TraceEvent::Kind::kAbort), 1u);
+  const std::vector<AttemptRec> attempts =
+      tel.runs().at(0).attempts_in_order();
+  ASSERT_EQ(attempts.size(), 2u);
+  EXPECT_EQ(committed(attempts), 1u);
 
-  const TraceEvent& commit = trace.events()[1];
-  EXPECT_EQ(commit.kind, TraceEvent::Kind::kCommit);
+  const AttemptRec& commit = attempts[0];
+  EXPECT_TRUE(commit.committed);
   EXPECT_EQ(commit.read_lines, 1u);
   EXPECT_EQ(commit.write_lines, 1u);
 
-  const TraceEvent& abort = trace.events()[3];
-  EXPECT_EQ(abort.kind, TraceEvent::Kind::kAbort);
+  const AttemptRec& abort = attempts[1];
+  EXPECT_FALSE(abort.committed);
   EXPECT_EQ(abort.cause, AbortCause::kExplicit);
   EXPECT_EQ(abort.write_lines, 1u);
 }
 
 TEST(Trace, CycleStampsAreMonotonePerThread) {
+  Telemetry tel(attempt_options());
   Machine m;
-  TraceLog trace;
-  m.set_trace(&trace);
+  m.set_telemetry(&tel);
   auto cell = Shared<std::uint64_t>::alloc(m, 0);
   m.run({.threads = 4, .body = [&](Context& c) {
     for (int i = 0; i < 20; ++i) {
@@ -62,30 +79,36 @@ TEST(Trace, CycleStampsAreMonotonePerThread) {
       }
     }
   }});
-  m.set_trace(nullptr);
+  m.set_telemetry(nullptr);
+
+  const std::vector<AttemptRec> attempts =
+      tel.runs().at(0).attempts_in_order();
   std::vector<Cycles> last(4, 0);
-  for (const auto& e : trace.events()) {
-    EXPECT_GE(e.at, last[e.tid]);
-    last[e.tid] = e.at;
+  for (const AttemptRec& a : attempts) {
+    EXPECT_GE(a.start, last[a.tid]);
+    EXPECT_GE(a.end, a.start);
+    last[a.tid] = a.end;
   }
   // Every one of the 80 attempts ends in exactly one commit or abort.
-  EXPECT_EQ(trace.count(TraceEvent::Kind::kBegin), 80u);
-  EXPECT_EQ(trace.count(TraceEvent::Kind::kCommit) +
-                trace.count(TraceEvent::Kind::kAbort),
-            80u);
-  EXPECT_GE(trace.count(TraceEvent::Kind::kCommit), 1u);
+  EXPECT_EQ(attempts.size(), 80u);
+  EXPECT_GE(committed(attempts), 1u);
 }
 
 TEST(Trace, DetachedTraceRecordsNothing) {
+  Telemetry tel(attempt_options());
   Machine m;
-  TraceLog trace;
   auto cell = Shared<std::uint64_t>::alloc(m, 0);
-  m.run({.threads = 1, .body = [&](Context& c) {
+  auto body = [&](Context& c) {
     c.xbegin();
     cell.store(c, 1);
     c.xend();
-  }});
-  EXPECT_TRUE(trace.events().empty());
+  };
+  m.set_telemetry(&tel);
+  m.run({.threads = 1, .body = body});
+  m.set_telemetry(nullptr);
+  m.run({.threads = 1, .body = body});
+  ASSERT_EQ(tel.runs().size(), 1u);
+  EXPECT_EQ(tel.runs().at(0).attempts_in_order().size(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the structured telemetry layer: determinism of the exported
 // artifacts, zero observer effect on simulated timing, attempt-ring
-// bounding, and the perf_report() / TraceLog regressions fixed alongside.
+// bounding, and the perf_report() regressions fixed alongside.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include "sim/perf.h"
 #include "sim/shared.h"
 #include "sim/telemetry.h"
-#include "sim/trace.h"
 #include "sync/elision.h"
 
 namespace tsxhpc::sim {
@@ -312,32 +311,6 @@ TEST(PerfReport, DoesNotTruncateWithLargeCounters) {
   EXPECT_EQ(report.back(), '\n');
   EXPECT_NE(report.find("18446744073709551615      makespan-cycles\n"),
             std::string::npos);
-}
-
-TEST(TraceLog, DumpToPathWritesEvents) {
-  Machine m;
-  TraceLog trace;
-  m.set_trace(&trace);
-  auto cell = Shared<std::uint64_t>::alloc(m, 0);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    c.xbegin();
-    cell.store(c, 1);
-    c.xend();
-  }});
-  m.set_trace(nullptr);
-
-  const std::string path = ::testing::TempDir() + "telemetry_test_trace.txt";
-  ASSERT_TRUE(trace.dump(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[4096];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  buf[n] = '\0';
-  const std::string contents(buf);
-  EXPECT_NE(contents.find("t0"), std::string::npos);
-  EXPECT_NE(contents.find("COMMIT"), std::string::npos);
 }
 
 }  // namespace
