@@ -16,8 +16,9 @@
 //     set and feed the read-eviction lottery; coloring spreads them and the
 //     lottery never draws.
 // Per-set doom heatmaps come from the artifact: run with --set-stats and
-// feed the JSON to `tsx_report --sets=l1 | --sets=llc`. CI diffs the merged
-// placement grid against bench/baselines/BENCH_placement.json.
+// feed the JSON to `tsx_report --sets=l1 | --sets=llc`. Tier-1 byte-compares
+// the merged placement grid with bench/baselines/BENCH_placement.json
+// (`ctest -L baseline_test`).
 #include <cstdio>
 #include <string>
 #include <vector>

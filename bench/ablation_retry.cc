@@ -6,8 +6,9 @@
 // paper, no-hint, expo-backoff, adaptive-site — over a contended CLOMP-TM
 // configuration and a STAMP subset and reports the geomean speedup over the
 // paper policy. The four policies must produce four distinct deterministic
-// orderings; CI diffs this bench's artifact against
-// bench/baselines/BENCH_retry_policy.json.
+// orderings (PolicySeam.PoliciesProduceDistinctSchedules); tier-1
+// byte-compares this bench's artifact with
+// bench/baselines/BENCH_retry_policy.json (`ctest -L baseline_test`).
 #include <cmath>
 #include <cstdio>
 

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <string>
@@ -49,6 +51,8 @@ class BenchIo {
         argc_(argc),
         argv_(argv),
         args_(bench_name_, std::move(summary)) {
+    prog_name_ = bench_name_;
+    prev_terminate_ = std::set_terminate(&on_terminate);
     args_.add_bool("quick", "reduced problem sizes (CI smoke runs)", &quick_);
     args_.add_bool("report", "print the tsx_report summary after the run",
                    &report_);
@@ -158,7 +162,12 @@ class BenchIo {
       args_.fail("--sockets and --slices must be non-negative");
       return false;
     }
-    if (!check_machine_flags()) return false;
+    for (std::size_t v : {l1_bytes_, l1_ways_, llc_bytes_, llc_ways_}) {
+      if (v > std::numeric_limits<std::uint32_t>::max()) {
+        args_.fail("cache geometry flags must fit in 32 bits");
+        return false;
+      }
+    }
     if (report_ || !json_path_.empty() || !trace_path_.empty()) {
       sim::TelemetryOptions opt;
       opt.collect_attempts = !trace_path_.empty();
@@ -181,7 +190,10 @@ class BenchIo {
     mc.backend = backend_;
     mc.tx_policy = tx_policy_;
     mc.alloc_strategy = alloc_strategy_;
-    apply_cache_geometry(mc);
+    if (l1_bytes_ != 0) mc.l1_bytes = static_cast<std::uint32_t>(l1_bytes_);
+    if (l1_ways_ != 0) mc.l1_ways = static_cast<std::uint32_t>(l1_ways_);
+    if (llc_bytes_ != 0) mc.llc_bytes = static_cast<std::uint32_t>(llc_bytes_);
+    if (llc_ways_ != 0) mc.llc_ways = static_cast<std::uint32_t>(llc_ways_);
     mc.set_stats = set_stats_;
     if (sockets_ != 0) mc.topology.num_sockets = sockets_;
     if (slices_ != 0) mc.topology.llc_slices = slices_;
@@ -255,38 +267,26 @@ class BenchIo {
   }
 
  private:
-  void apply_cache_geometry(sim::MachineConfig& mc) const {
-    if (l1_bytes_ != 0) mc.l1_bytes = static_cast<std::uint32_t>(l1_bytes_);
-    if (l1_ways_ != 0) mc.l1_ways = static_cast<std::uint32_t>(l1_ways_);
-    if (llc_bytes_ != 0) mc.llc_bytes = static_cast<std::uint32_t>(llc_bytes_);
-    if (llc_ways_ != 0) mc.llc_ways = static_cast<std::uint32_t>(llc_ways_);
+  /// Whether the flags fit the machine (--llc-ways=3, or --sockets=3 on a
+  /// 4-core bench) is known only when the bench builds its Machine, deep in
+  /// workload code. So, for every bench, an uncaught ConfigError is a usage
+  /// error: message on stderr, exit 2. Other exceptions terminate as before.
+  [[noreturn]] static void on_terminate() {
+    try {
+      if (std::current_exception()) throw;
+    } catch (const sim::ConfigError& e) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "%s: %s\n(run with --help for usage)\n",
+                   prog_name_.c_str(), e.what());
+      std::_Exit(2);
+    } catch (...) {
+    }
+    if (prev_terminate_) prev_terminate_();
+    std::abort();
   }
 
-  /// Build a default machine with the cache-geometry flags applied so that
-  /// an invalid shape (e.g. --llc-ways=3 leaves a set count that is not a
-  /// power of two) is a usage error naming the problem, not a SimError
-  /// escaping main mid-run. Topology stays at the model default: core and
-  /// socket counts are bench-specific, so each bench checks its own.
-  bool check_machine_flags() {
-    if (l1_bytes_ == 0 && l1_ways_ == 0 && llc_bytes_ == 0 && llc_ways_ == 0) {
-      return true;
-    }
-    for (std::size_t v : {l1_bytes_, l1_ways_, llc_bytes_, llc_ways_}) {
-      if (v > std::numeric_limits<std::uint32_t>::max()) {
-        args_.fail("cache geometry flags must fit in 32 bits");
-        return false;
-      }
-    }
-    sim::MachineConfig probe;
-    apply_cache_geometry(probe);
-    try {
-      sim::Machine m(probe);
-    } catch (const sim::SimError& e) {
-      args_.fail(e.what());
-      return false;
-    }
-    return true;
-  }
+  static inline std::string prog_name_;
+  static inline std::terminate_handler prev_terminate_ = nullptr;
 
   std::string bench_name_;
   int argc_;

@@ -1,0 +1,52 @@
+// The one invariant checker for tsxhpc artifacts. Every reconciliation rule
+// the telemetry counters promise (cycle buckets, cache levels, policy
+// decisions, interval samples, the cc block, set stats, topology) lives in
+// one registry in invariants.cc and runs over a parsed artifact: per run in
+// a telemetry artifact, per cell and run in a sweep grid. A block a run
+// does not carry (no `cc` on hierarchy/topology runs, no `set_stats`
+// without --set-stats) makes its rules not applicable, not failures.
+//
+// tsx_report's default mode prints the findings and exits 1 on any, and
+// ctest runs it on every committed baseline and every bench's --quick
+// output (`ctest -L 'baseline_test|invariant_test'`).
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "sim/json_parse.h"
+
+namespace tsxhpc::sim {
+
+class Telemetry;
+
+/// One broken rule: where (cell, run, subject), which rule, and the two
+/// values that should have reconciled.
+struct Finding {
+  std::string cell;     // sweep-grid cell label; empty in a flat artifact
+  std::string run;      // run label
+  std::string subject;  // "thread 2", "site 0x40", "level llc", ... or ""
+  std::string rule;     // the relation that failed, e.g. "a == b"
+  std::uint64_t lhs = 0;
+  std::uint64_t rhs = 0;
+
+  /// One line: "cell C run R thread T: <rule>: <lhs> vs <rhs>".
+  std::string str() const;
+};
+
+/// Check one run object; `cell` names the sweep cell it came from, if any.
+std::vector<Finding> check_run(const JsonValue& run,
+                               const std::string& cell = {});
+
+/// Check every run of a telemetry artifact or every cell of a sweep grid.
+std::vector<Finding> check_invariants(const JsonValue& doc);
+
+/// Check an in-process Telemetry through its serialized artifact, the same
+/// bytes --json writes.
+std::vector<Finding> check_invariants(const Telemetry& tel);
+
+/// Findings one per line (empty when there are none), for test messages.
+std::string to_string(const std::vector<Finding>& findings);
+
+}  // namespace tsxhpc::sim

@@ -48,7 +48,11 @@ NamedRegionRec attribute_region(const SharedHeap::Region& reg,
 
 Machine::Machine(MachineConfig cfg) : cfg_(cfg) {
   stats_.resize(cfg_.num_hw_threads());
-  mem_ = std::make_unique<MemorySystem>(cfg_, stats_);
+  try {
+    mem_ = std::make_unique<MemorySystem>(cfg_, stats_);
+  } catch (const SimError& e) {
+    throw ConfigError(e.what());
+  }
   set_telemetry(cfg_.telemetry);
 }
 

@@ -35,6 +35,7 @@ struct RunSpec {
 
 class Machine {
  public:
+  /// Throws ConfigError when `cfg` describes an impossible machine.
   explicit Machine(MachineConfig cfg = MachineConfig{});
 
   const MachineConfig& config() const { return cfg_; }

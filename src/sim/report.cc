@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "sim/invariants.h"
+
 namespace tsxhpc::sim {
 
 namespace {
@@ -245,15 +247,8 @@ void render_cycle_table(std::string& out, const JsonValue& run) {
     for (const char* k : kBucketKeys) {
       appendf(out, "  %12llu", static_cast<unsigned long long>(cy[k].as_u64()));
     }
-    const std::uint64_t total = cy["total"].as_u64();
-    const std::uint64_t end = th["end_cycle"].as_u64();
-    appendf(out, "  %12llu", static_cast<unsigned long long>(total));
-    // The accounting invariant: buckets sum to the thread's final clock.
-    if (total != end) {
-      appendf(out, "  !! end_cycle=%llu",
-              static_cast<unsigned long long>(end));
-    }
-    out += '\n';
+    appendf(out, "  %12llu\n",
+            static_cast<unsigned long long>(cy["total"].as_u64()));
   }
   const JsonValue& cy = run["totals"]["cycles"];
   out += "    sum";
@@ -337,6 +332,9 @@ std::string render_report(const JsonValue& doc, const ReportOptions& opt) {
     render_cache_levels(out, run);
     render_topology(out, run);
     render_cycle_table(out, run);
+    for (const Finding& f : check_run(run)) {
+      out += "  !! " + f.str() + '\n';
+    }
     render_locks(out, run);
   }
   return out;
@@ -775,6 +773,9 @@ std::string render_sweep_report(const JsonValue& doc) {
   }
   out += '\n';
   render_scaling_curves(out, doc);
+  for (const Finding& f : check_invariants(doc)) {
+    out += "!! " + f.str() + '\n';
+  }
   return out;
 }
 

@@ -28,7 +28,8 @@ bool is_telemetry_doc(const JsonValue& doc);
 /// True if `doc` is a merged tsxhpc-sweep-v1 grid artifact.
 bool is_sweep_doc(const JsonValue& doc);
 
-/// Render the report for one parsed artifact.
+/// Render the report for one parsed artifact, with a "!!" line per broken
+/// invariant (sim/invariants.h) at the end of each run's cycle table.
 std::string render_report(const JsonValue& doc, const ReportOptions& opt = {});
 
 /// Compare `cur` against `base` run-by-run (matched by label). Appends the
@@ -57,7 +58,8 @@ std::string render_html(const JsonValue& doc);
 
 /// Render the grid view of a sweep artifact: the axes, a per-cell summary
 /// table, and — when the grid has a "threads" axis — makespan/speedup
-/// scaling curves per combination of the remaining axes.
+/// scaling curves per combination of the remaining axes, then a "!!" line
+/// per broken invariant in any cell.
 std::string render_sweep_report(const JsonValue& doc);
 
 /// Append a two-axis pivot table of `metric` over the grid to `out`: rows

@@ -62,7 +62,8 @@ struct ThreadStats {
 
   // Memory system, per hierarchy level. Every timed access is served by
   // exactly one level, so mem_accesses == l1_hits + l1_misses and
-  // l1_misses == xfers_in + llc_hits + llc_misses (CI checks both).
+  // l1_misses == xfers_in + llc_hits + llc_misses (sim/invariants.h
+  // checks both).
   std::uint64_t mem_accesses = 0;  // total timed cache accesses
   std::uint64_t l1_hits = 0;
   std::uint64_t l1_misses = 0;
@@ -131,7 +132,7 @@ struct ThreadStats {
 /// the same sites as the ThreadStats level totals. Summed over all slices,
 /// hits/misses/evictions/xfers equal the run's llc_hits/llc_misses/
 /// llc_evictions/xfers_in totals exactly — the v6 decomposition invariant
-/// CI checks.
+/// sim/invariants.h checks.
 struct SliceStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -103,16 +103,15 @@ void Telemetry::begin_run(int num_threads,
 void Telemetry::end_run(const RunStats& rs) {
   RunRecord* r = cur();
   if (!r) return;
-  // Flush the tail of the v5 memory-pressure columns (deltas accrued since
-  // the last sampling event) into the final bucket, so each column sums
-  // exactly to its run total (the CI sample-sum invariant). The v4 l1
-  // columns deliberately keep their unflushed semantics: their recorded
-  // values are frozen, and the v7 baselines in bench/baselines/ pin them
-  // byte-for-byte. A run with no sampling events at all keeps an empty
-  // series (nothing to flush into).
+  // Flush the tail of the memory columns (deltas accrued since the last
+  // sampling event) into the final bucket, so each column sums exactly to
+  // its run total (the samples rule in sim/invariants.h). A run with no
+  // sampling events at all keeps an empty series (nothing to flush into).
   if (!r->samples.empty()) {
     const ThreadStats tot = rs.total();
     IntervalSample& last = r->samples.back();
+    last.l1_hits += tot.l1_hits - last_l1_hits_;
+    last.l1_misses += tot.l1_misses - last_l1_misses_;
     last.llc_misses += tot.llc_misses - last_llc_misses_;
     last.mem_stall += tot.bucket(CycleBucket::kMemStall) - last_mem_stall_;
   }
@@ -502,7 +501,7 @@ void write_u64_array(JsonWriter& w, const char* key,
 std::string Telemetry::json(const std::string& bench_name) const {
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", "tsxhpc-telemetry-v7");
+  w.kv("schema", "tsxhpc-telemetry-v8");
   w.kv("bench", bench_name);
   w.key("runs");
   w.begin_array();
@@ -585,7 +584,7 @@ std::string Telemetry::json(const std::string& bench_name) const {
     // Summed over slices, hits/misses/evictions/xfers reproduce the run's
     // llc_hits/llc_misses/llc_evictions/xfers_in totals exactly; summed over
     // sockets, accesses reproduces mem_accesses and dram_local + dram_remote
-    // reproduces llc_misses (CI checks all of these).
+    // reproduces llc_misses (topology rules in sim/invariants.h).
     {
       const TopologyRec& topo = r.topology;
       w.key("topology");

@@ -60,7 +60,8 @@ const char* to_string(LockKind k);
 /// How a TxPolicy (sync/policy.h) resolved one policy consultation inside an
 /// elided section. Aborts map 1:1 to decisions, so the per-site counts
 /// reconcile with the attempt chains: retries+backoffs+lock_waits+fallbacks
-/// == tx_aborts, and fallbacks+skips == fallback_acquires (CI asserts both).
+/// == tx_aborts, and fallbacks+skips == fallback_acquires (both are rules in
+/// sim/invariants.h).
 enum class PolicyDecision : std::uint8_t {
   kRetry,     // retry immediately
   kBackoff,   // backoff cycles charged, then retry
@@ -161,12 +162,6 @@ struct LockSiteStats {
              static_cast<size_t>(PolicyDecision::kNumDecisions)>
       policy_decisions{};
 
-  std::uint64_t policy_decisions_total() const {
-    std::uint64_t n = 0;
-    for (auto d : policy_decisions) n += d;
-    return n;
-  }
-
   double elision_rate() const {
     const double total =
         static_cast<double>(elided_commits + fallback_acquires);
@@ -187,10 +182,9 @@ struct IntervalSample {
   std::uint64_t fallbacks = 0;
   std::uint64_t l1_hits = 0;
   std::uint64_t l1_misses = 0;
-  // v5 memory-pressure columns. Unlike the l1 columns (whose tail between
-  // the last sampling event and run end is never flushed — frozen v4
-  // semantics), these are flushed into the final bucket at end_run, so each
-  // column sums exactly to its run total (CI-checked).
+  // v5 memory-pressure columns. These and the l1 columns above are flushed
+  // into the final bucket at end_run (the l1 ones since v8), so each sums
+  // exactly to its run total (the samples rule in sim/invariants.h).
   std::uint64_t llc_misses = 0;
   Cycles mem_stall = 0;
 
@@ -272,9 +266,9 @@ struct Histogram {
 /// scheme seam saw, aggregated over threads. Emitted as the per-run `cc`
 /// block. For hardware/lock schemes (sgl/tsx) `starts`/`commits` count
 /// atomic *regions* — hardware retries live below this layer in the attempt
-/// chains, so `aborts` stays 0 and CI enforces it. For STM schemes each
-/// attempt is a start, and every abort carries exactly one class
-/// (starts == commits + aborts; the classes sum to aborts — CI-enforced).
+/// chains, so `aborts` stays 0. For STM schemes each attempt is a start,
+/// and every abort carries exactly one class (starts == commits + aborts;
+/// the classes sum to aborts). sim/invariants.h checks all three.
 struct CcStats {
   std::string scheme;  // "sgl"/"tl2"/"tsx"/"tictoc"/"tictoc-hybrid"/"mvcc"
   std::uint64_t starts = 0;
@@ -477,7 +471,7 @@ class Telemetry {
 
   const std::vector<RunRecord>& runs() const { return runs_; }
 
-  /// Full JSON artifact (schema tsxhpc-telemetry-v7), stable key order.
+  /// Full JSON artifact (schema tsxhpc-telemetry-v8), stable key order.
   std::string json(const std::string& bench_name) const;
   /// Chrome trace-event JSON (catapult format, loadable in Perfetto): one
   /// process per run, one track per hardware thread, transaction slices

@@ -34,6 +34,13 @@ class SimError : public std::runtime_error {
   explicit SimError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// An impossible machine shape (cache geometry, topology), thrown only while
+/// a Machine is built, so a front end can report it as a usage error.
+class ConfigError : public SimError {
+ public:
+  using SimError::SimError;
+};
+
 /// Why a hardware transaction aborted. Mirrors the abort-cause information
 /// Haswell reports via EAX / perf events (tx-abort, capacity, conflict, ...).
 enum class AbortCause : std::uint8_t {

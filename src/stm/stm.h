@@ -1,8 +1,8 @@
 // Shared vocabulary of the software-TM family (tl2 / tictoc / mvcc): the
 // abort exception their retry loops unwind on, classified by where in the
 // transaction lifecycle the conflict surfaced. The classes feed the per-run
-// `cc` telemetry block (telemetry v7), which CI reconciles against the abort
-// totals — every STM abort is exactly one of these.
+// `cc` telemetry block (telemetry v7), which sim/invariants.h reconciles
+// against the abort totals — every STM abort is exactly one of these.
 #pragma once
 
 #include <cstdint>

@@ -96,8 +96,9 @@ class SglBackend final : public CcBackend {
 
 // ---- tsx: RTM elision of the same global lock ----------------------------
 // Region-level accounting only: hardware retries live below this seam, in
-// the telemetry attempt chains, so cc.aborts stays 0 (CI-enforced) and
-// cc.commits reconciles against elided_commits + fallback_acquires.
+// the telemetry attempt chains, so cc.aborts stays 0 and cc.commits
+// reconciles against elided_commits + fallback_acquires (both are cc rules
+// in sim/invariants.h).
 
 class TsxThread final : public CcThread {
  public:

@@ -64,7 +64,7 @@ TEST_P(SchemeBackendIdentity, FiberAndThreadArtifactsAreByteIdentical) {
   ASSERT_FALSE(thread.empty());
   EXPECT_NE(fiber.find("\"backend\":\"fiber\""), std::string::npos);
   EXPECT_NE(thread.find("\"backend\":\"thread\""), std::string::npos);
-  EXPECT_NE(fiber.find("\"schema\":\"tsxhpc-telemetry-v7\""),
+  EXPECT_NE(fiber.find("\"schema\":\"tsxhpc-telemetry-v8\""),
             std::string::npos);
   EXPECT_EQ(fiber, normalize_backend(thread))
       << scheme << " telemetry diverges between execution backends";

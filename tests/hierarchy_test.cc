@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/invariants.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
 #include "sim/telemetry.h"
@@ -141,7 +142,9 @@ TEST(Hierarchy, CycleBucketsSumToEndCycleWithPerLevelStalls) {
   // DRAM) plus cross-core transfers. Without locks or fallbacks, both
   // accounting invariants hold exactly: the buckets partition end_cycle,
   // and the per-level stall attribution partitions the kMemStall bucket.
+  Telemetry tel;
   MachineConfig cfg;
+  cfg.telemetry = &tel;
   cfg.llc_bytes = 256 * 1024;  // 4096 lines: holds the spans, the L1 doesn't
   cfg.llc_ways = 16;
   Machine m(cfg);
@@ -166,18 +169,13 @@ TEST(Hierarchy, CycleBucketsSumToEndCycleWithPerLevelStalls) {
     }
   }});
 
+  // The cycle and hierarchy rules of sim/invariants.h, on every thread.
+  EXPECT_EQ(to_string(check_invariants(tel)), "");
   for (const ThreadStats& t : rs.threads) {
-    EXPECT_EQ(t.cycles_total(), t.end_cycle);
-    Cycles stall_by_level = 0;
-    for (Cycles s : t.mem_stall_by_level) stall_by_level += s;
-    EXPECT_EQ(stall_by_level, t.bucket(CycleBucket::kMemStall));
     // Every level actually served accesses in this workload.
     EXPECT_GT(t.l1_hits, 0u);
     EXPECT_GT(t.llc_hits, 0u);
     EXPECT_GT(t.llc_misses, 0u);
-    // Per-level counters reconcile with the totals (the CI invariant).
-    EXPECT_EQ(t.mem_accesses, t.l1_hits + t.l1_misses);
-    EXPECT_EQ(t.l1_misses, t.xfers_in + t.llc_hits + t.llc_misses);
   }
 }
 
@@ -254,14 +252,15 @@ TEST(Topology, SliceHashIsStableAndIdentityAtOne) {
 
 TEST(Topology, HopCyclesReconcileExactly) {
   // The per-thread hop counters decompose the hop surcharge bit-for-bit:
-  // hop_cycles == slice_hops * lat_hop_slice + socket_hops * lat_hop_socket.
-  const MachineConfig cfg = topo_cfg();
+  // hop_cycles == slice_hops * lat_hop_slice + socket_hops * lat_hop_socket
+  // (a topology rule of sim/invariants.h), with both hop kinds charged.
+  Telemetry tel;
+  MachineConfig cfg = topo_cfg();
+  cfg.telemetry = &tel;
   const ThreadStats tot = topo_run(cfg).total();
   EXPECT_GT(tot.slice_hops, 0u);
   EXPECT_GT(tot.socket_hops, 0u);
-  EXPECT_EQ(tot.hop_cycles,
-            tot.slice_hops * cfg.topology.lat_hop_slice +
-                tot.socket_hops * cfg.topology.lat_hop_socket);
+  EXPECT_EQ(to_string(check_invariants(tel)), "");
 }
 
 TEST(Topology, DefaultTopologyChargesNoHops) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "sim/invariants.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
 #include "sim/stats.h"
@@ -17,15 +18,6 @@
 
 namespace tsxhpc::sim {
 namespace {
-
-/// Buckets-sum-to-end_cycle, for every thread of a finished run.
-void expect_buckets_cover_clock(const RunStats& rs) {
-  for (std::size_t t = 0; t < rs.threads.size(); ++t) {
-    const ThreadStats& ts = rs.threads[t];
-    EXPECT_GT(ts.end_cycle, 0u) << "thread " << t;
-    EXPECT_EQ(ts.cycles_total(), ts.end_cycle) << "thread " << t;
-  }
-}
 
 TEST(Provenance, PingPongAttributesLineObjectAndAggressor) {
   Telemetry tel;
@@ -93,9 +85,9 @@ TEST(Provenance, PingPongAttributesLineObjectAndAggressor) {
             cl.dooms);
   EXPECT_EQ(t0.tx_committed, 8u);
 
-  // Cycle accounting: buckets sum to each thread's final clock, and land
-  // where this workload puts them.
-  expect_buckets_cover_clock(rs);
+  // Cycle accounting: buckets sum to each thread's final clock (the cycles
+  // rules of sim/invariants.h), and land where this workload puts them.
+  EXPECT_EQ(to_string(check_invariants(tel)), "");
   EXPECT_GT(t0.bucket(CycleBucket::kTxCommitted), 0u);
   EXPECT_GT(t0.bucket(CycleBucket::kTxWasted), 0u);
   EXPECT_EQ(t0.bucket(CycleBucket::kLockWait), 0u);
@@ -148,7 +140,10 @@ TEST(Provenance, PingPongAttributesLineObjectAndAggressor) {
 TEST(Provenance, BucketsSumToEndCycleUnderLockContention) {
   // The invariant must also survive the messy paths: elision retries,
   // fallback serialization, futex sleeps and wake-jumps.
-  Machine m;
+  Telemetry tel;
+  MachineConfig cfg;
+  cfg.telemetry = &tel;
+  Machine m(cfg);
   sync::ElidedLock lock(m);
   auto cells = SharedArray<std::uint64_t>::alloc(m, 8, 0);
   const RunStats rs = m.run({.threads = 4, .body = [&](Context& c) {
@@ -160,7 +155,7 @@ TEST(Provenance, BucketsSumToEndCycleUnderLockContention) {
       });
     }
   }});
-  expect_buckets_cover_clock(rs);
+  EXPECT_EQ(to_string(check_invariants(tel)), "");
   // Contention makes all the interesting buckets non-empty somewhere.
   const ThreadStats t = rs.total();
   EXPECT_GT(t.bucket(CycleBucket::kTxCommitted), 0u);

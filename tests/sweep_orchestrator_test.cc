@@ -142,7 +142,7 @@ TEST(SweepOrchestrator, SerialAndParallelMergesAreByteIdentical) {
   ASSERT_EQ(doc["cells"].size(), 2u);
   EXPECT_EQ(doc["cells"].at(1)["cell"].as_string(), "scheme=tsx/threads=2");
   EXPECT_EQ(doc["cells"].at(1)["telemetry"]["schema"].as_string(),
-            "tsxhpc-telemetry-v7");
+            "tsxhpc-telemetry-v8");
 
   // Telemetry and merge writes are atomic (<path>.tmp + rename): a clean run
   // leaves no .tmp next to the merged artifacts or the per-cell telemetry.

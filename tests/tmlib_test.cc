@@ -2,7 +2,9 @@
 // identically under sgl, tl2, and tsx backends.
 #include <gtest/gtest.h>
 
+#include "sim/invariants.h"
 #include "sim/rng.h"
+#include "sim/telemetry.h"
 #include "tmlib/tm.h"
 
 namespace tsxhpc::tmlib {
@@ -134,13 +136,17 @@ TEST(TmLib, Tl2AbortStatsReported) {
   EXPECT_EQ(cc.commits, 800u) << "every region must eventually commit";
 }
 
-// The v7 reconciliation invariants, at the source: starts = commits +
-// aborts, and every abort carries exactly one class. Run a contended
-// counter under every STM scheme.
+// The v7 reconciliation invariants, through the run's cc block: starts =
+// commits + aborts, every abort carries exactly one class, and no STM
+// scheme starts a hardware transaction (the cc rules of sim/invariants.h).
+// Run a contended counter under every STM scheme.
 TEST(TmLib, CcStatsReconcileAcrossStmSchemes) {
   for (Backend b : {Backend::kTl2, Backend::kTicToc, Backend::kTicTocHybrid,
                     Backend::kMvcc}) {
-    Machine m;
+    sim::Telemetry tel;
+    sim::MachineConfig cfg;
+    cfg.telemetry = &tel;
+    Machine m(cfg);
     TmRuntime rt(m, b);
     auto cell = Shared<std::uint64_t>::alloc(m, 0);
     m.run({.threads = 4, .body = [&](Context& c) {
@@ -155,10 +161,7 @@ TEST(TmLib, CcStatsReconcileAcrossStmSchemes) {
     const sim::CcStats& cc = rt.cc_stats();
     EXPECT_EQ(cc.scheme, to_string(b));
     EXPECT_EQ(cc.commits, 200u) << to_string(b);
-    EXPECT_EQ(cc.starts, cc.commits + cc.aborts) << to_string(b);
-    EXPECT_EQ(cc.aborts, cc.aborts_read_validation + cc.aborts_lock_acquire +
-                             cc.aborts_commit_validation)
-        << to_string(b);
+    EXPECT_EQ(sim::to_string(sim::check_invariants(tel)), "") << to_string(b);
     EXPECT_EQ(cell.peek(m), 200u) << to_string(b);
   }
 }

@@ -3,7 +3,9 @@
 //
 //   tsx_report <artifact.json>            print the abort-diagnosis report
 //                                         (or the grid view for a
-//                                         tsxhpc-sweep-v1 artifact)
+//                                         tsxhpc-sweep-v1 artifact) with a
+//                                         "!!" line per broken invariant
+//                                         (sim/invariants.h); exit 1 on any
 //   tsx_report --pivot=axisA,axisB [--metric=M] <sweep.json>
 //                                         two-axis pivot table over a grid
 //   tsx_report --diff <base.json> <cur.json> [--max-abort-rate-pp=X]
@@ -21,12 +23,14 @@
 //                                         write a self-contained HTML
 //                                         dashboard (inline CSS/SVG)
 //
-// Exit codes: 0 ok, 1 failure(s) found (diff mode), 2 usage or I/O error.
+// Exit codes: 0 ok, 1 an invariant finding (report mode) or a regression
+// or mismatch (diff mode), 2 usage or I/O error.
 #include <cstdio>
 #include <string>
 
 #include "bench/args.h"
 #include "sim/fsio.h"
+#include "sim/invariants.h"
 #include "sim/json_parse.h"
 #include "sim/report.h"
 
@@ -167,10 +171,10 @@ int main(int argc, char** argv) {
   }
   if (tsxhpc::sim::is_sweep_doc(doc)) {
     std::fputs(tsxhpc::sim::render_sweep_report(doc).c_str(), stdout);
-    return 0;
+  } else {
+    tsxhpc::sim::ReportOptions opt;
+    opt.top_lines = top;
+    std::fputs(tsxhpc::sim::render_report(doc, opt).c_str(), stdout);
   }
-  tsxhpc::sim::ReportOptions opt;
-  opt.top_lines = top;
-  std::fputs(tsxhpc::sim::render_report(doc, opt).c_str(), stdout);
-  return 0;
+  return tsxhpc::sim::check_invariants(doc).empty() ? 0 : 1;
 }
