@@ -3,11 +3,13 @@
 //
 //   * one L1 data cache per core (SMT siblings share it, which is what
 //     creates the extra transactional capacity pressure the paper observes
-//     with HyperThreading, Section 4.2). L1 entries carry the transactional
-//     read/write marks;
+//     with HyperThreading, Section 4.2). L1 entries carry the precise
+//     transactional marks: which thread wrote the line and which threads
+//     read it while it stayed resident;
 //   * one shared, inclusive last-level cache. LLC entries carry the
-//     MESI-style directory state (dirty owner + sharer bitmask), so
-//     coherence information lives — and dies — with LLC residency.
+//     MESI-style directory state (dirty owner + sharer bitmask) and the
+//     line's live transactional reader/writer masks, so coherence and
+//     tx-set membership live — and leave — with LLC residency.
 //
 // A level tracks *which lines are resident* (for latency, capacity and
 // coherence), not data values; values live in SharedHeap / the write
@@ -20,6 +22,15 @@
 #include "sim/types.h"
 
 namespace tsxhpc::sim {
+
+/// Hardware threads with a line in their live transactional read / write
+/// set. Held in the line's LLC entry; MemorySystem parks them in its
+/// overflow map while the line is not LLC-resident.
+struct TxMasks {
+  ThreadMask readers = 0;
+  ThreadMask writers = 0;
+  bool any() const { return (readers | writers) != 0; }
+};
 
 /// Result of touching a line in a cache level.
 struct CacheTouch {
@@ -42,6 +53,8 @@ struct CacheTouch {
   /// uses these to back-invalidate L1 copies (inclusion).
   int evicted_dirty_core = -1;
   CoreMask evicted_sharers = 0;
+  /// Live tx read/write masks of the evicted entry (LLC evictions only).
+  TxMasks evicted_tx_sets;
 };
 
 /// Per-set event counters (telemetry v5). One instance per set, enabled on
@@ -66,14 +79,16 @@ class CacheLevel {
  public:
   /// One resident line. The transactional marks are used by L1 instances,
   /// the directory fields by the LLC instance; unused fields stay at their
-  /// defaults and cost nothing.
+  /// defaults and cost nothing. Widest fields first, so an entry packs into
+  /// 64 bytes.
   struct Entry {
     Addr line = 0;
     std::uint64_t lru = 0;
-    ThreadId tx_writer = -1;
     ThreadMask tx_readers = 0;
-    int dirty_core = -1;      // directory: core holding the line dirty
     CoreMask sharers = 0;     // directory: cores with a copy
+    TxMasks tx_sets;          // directory: live tx readers/writers
+    ThreadId tx_writer = -1;
+    int dirty_core = -1;      // directory: core holding the line dirty
     bool valid = false;
   };
 
@@ -101,6 +116,7 @@ class CacheLevel {
         r.evicted_tx_readers = slot->tx_readers;
         r.evicted_dirty_core = slot->dirty_core;
         r.evicted_sharers = slot->sharers;
+        r.evicted_tx_sets = slot->tx_sets;
       }
       slot->valid = true;
       slot->line = line;
@@ -108,6 +124,7 @@ class CacheLevel {
       slot->tx_readers = 0;
       slot->dirty_core = -1;
       slot->sharers = 0;
+      slot->tx_sets = TxMasks{};
     }
     if (tx_write) slot->tx_writer = tid;
     if (tx_read) slot->tx_readers |= ThreadMask{1} << tid;
@@ -143,18 +160,17 @@ class CacheLevel {
     return false;
   }
 
-  /// Clear transactional marks owned by `tid` (on commit or abort). Aborts
-  /// additionally invalidate the written lines: their speculative data was
-  /// never real, and Haswell discards them.
-  void clear_tx_marks(ThreadId tid, bool invalidate_writes) {
-    for (auto& e : entries_) {
-      if (!e.valid) continue;
-      if (e.tx_writer == tid) {
-        e.tx_writer = -1;
-        if (invalidate_writes) e.valid = false;
-      }
-      e.tx_readers &= ~(ThreadMask{1} << tid);
+  /// Clear the transactional marks `tid` holds on `line` (on commit or
+  /// abort). Aborts additionally invalidate a line `tid` wrote: its
+  /// speculative data was never real, and Haswell discards it.
+  void clear_tx_marks(Addr line, ThreadId tid, bool invalidate_writes) {
+    Entry* e = find(line);
+    if (e == nullptr) return;
+    if (e->tx_writer == tid) {
+      e->tx_writer = -1;
+      if (invalidate_writes) e->valid = false;
     }
+    e->tx_readers &= ~(ThreadMask{1} << tid);
   }
 
   /// Number of valid resident lines (testing hook; also the bound the
@@ -164,6 +180,15 @@ class CacheLevel {
     std::size_t n = 0;
     for (const auto& e : entries_)
       if (e.valid) ++n;
+    return n;
+  }
+
+  /// Resident lines whose entry still names a live transactional reader or
+  /// writer (testing hook).
+  std::size_t tx_tracked_lines() const {
+    std::size_t n = 0;
+    for (const auto& e : entries_)
+      if (e.valid && e.tx_sets.any()) ++n;
     return n;
   }
 
@@ -181,7 +206,6 @@ class CacheLevel {
   /// Allocate (or zero) the per-set counter table. Idempotent; called by
   /// MemorySystem at region entry when MachineConfig::set_stats is on.
   void reset_set_stats() { set_stats_.assign(sets_, SetCounters{}); }
-  bool set_stats_enabled() const { return !set_stats_.empty(); }
   /// Mutable per-set counters for `set`; only valid after reset_set_stats().
   SetCounters& set_stats(std::uint32_t set) { return set_stats_[set]; }
   const std::vector<SetCounters>& set_stats() const { return set_stats_; }

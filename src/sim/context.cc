@@ -102,18 +102,21 @@ void Context::tx_account_end(bool committed, AbortCause cause,
   }
 }
 
-void Context::check_doom() {
-  MemorySystem& mem = m_.mem();
-  if (!mem.in_tx(tid_) || !mem.doomed(tid_)) return;
-  const TxState& st = mem.tx_state(tid_);
-  const AbortCause cause = st.doom_cause;
+void Context::abort_tx(AbortCause cause, std::uint8_t code) {
+  const TxState& st = m_.mem().tx_state(tid_);
   const auto r = static_cast<std::uint32_t>(st.read_lines.size());
   const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-  mem.tx_rollback(tid_, cause);
+  m_.mem().tx_rollback(tid_, cause);
   tx_account_end(false, cause, r, w);
   m_.engine()->advance(tid_, m_.config().lat_abort);
   charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-  throw TxAbort{cause, 0};
+  throw TxAbort{cause, code};
+}
+
+void Context::check_doom() {
+  MemorySystem& mem = m_.mem();
+  if (!mem.in_tx(tid_) || !mem.doomed(tid_)) return;
+  abort_tx(mem.tx_state(tid_).doom_cause);
 }
 
 std::uint64_t Context::load(Addr a, unsigned size) {
@@ -235,15 +238,7 @@ void Context::xbegin() {
   if (outer) tx_account_start();
   if (m_.mem().doomed(tid_)) {
     // Nesting-depth overflow detected at begin.
-    const TxState& st = m_.mem().tx_state(tid_);
-    const AbortCause cause = st.doom_cause;
-    const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-    const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-    m_.mem().tx_rollback(tid_, cause);
-    tx_account_end(false, cause, r, w);
-    m_.engine()->advance(tid_, m_.config().lat_abort);
-    charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-    throw TxAbort{cause, 0};
+    abort_tx(m_.mem().tx_state(tid_).doom_cause);
   }
   m_.engine()->advance(tid_, m_.config().lat_xbegin);
   charge(m_.config().lat_xbegin, CycleBucket::kWork);  // in-tx: pends
@@ -270,34 +265,14 @@ void Context::xabort(std::uint8_t code) {
     // codebase it is always a bug; fail loudly.
     throw SimError("XABORT outside a transaction");
   }
-  const TxState& st = m_.mem().tx_state(tid_);
-  const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-  const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-  m_.mem().tx_rollback(tid_, AbortCause::kExplicit);
-  tx_account_end(false, AbortCause::kExplicit, r, w);
-  m_.engine()->advance(tid_, m_.config().lat_abort);
-  charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-  throw TxAbort{AbortCause::kExplicit, code};
+  abort_tx(AbortCause::kExplicit, code);
 }
 
 bool Context::in_txn() const { return m_.mem().in_tx(tid_); }
 
-std::size_t Context::txn_footprint_lines() const {
-  return m_.mem().tx_state(tid_).footprint_lines();
-}
-
 void Context::syscall(Cycles extra_cost) {
   check_doom();
-  if (m_.mem().in_tx(tid_)) {
-    const TxState& st = m_.mem().tx_state(tid_);
-    const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-    const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-    m_.mem().tx_rollback(tid_, AbortCause::kSyscall);
-    tx_account_end(false, AbortCause::kSyscall, r, w);
-    m_.engine()->advance(tid_, m_.config().lat_abort);
-    charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-    throw TxAbort{AbortCause::kSyscall, 0};
-  }
+  if (m_.mem().in_tx(tid_)) abort_tx(AbortCause::kSyscall);
   stats().syscalls++;
   m_.engine()->advance(tid_, m_.config().lat_syscall + extra_cost);
   charge(m_.config().lat_syscall + extra_cost, CycleBucket::kWork);
@@ -331,16 +306,7 @@ void Context::futex_wait(Addr addr, std::uint32_t expected) {
 
 int Context::futex_wake(Addr addr, int count) {
   check_doom();
-  if (m_.mem().in_tx(tid_)) {
-    const TxState& st = m_.mem().tx_state(tid_);
-    const auto r = static_cast<std::uint32_t>(st.read_lines.size());
-    const auto w = static_cast<std::uint32_t>(st.write_lines.size());
-    m_.mem().tx_rollback(tid_, AbortCause::kSyscall);
-    tx_account_end(false, AbortCause::kSyscall, r, w);
-    m_.engine()->advance(tid_, m_.config().lat_abort);
-    charge(m_.config().lat_abort, CycleBucket::kTxWasted);
-    throw TxAbort{AbortCause::kSyscall, 0};
-  }
+  if (m_.mem().in_tx(tid_)) abort_tx(AbortCause::kSyscall);
   stats().syscalls++;
   stats().futex_wakes++;
   m_.engine()->advance(tid_, m_.config().lat_syscall);

@@ -55,8 +55,6 @@ class Context {
   /// XABORT imm8.
   [[noreturn]] void xabort(std::uint8_t code);
   bool in_txn() const;
-  /// Lines currently in the transactional read+write sets (testing hook).
-  std::size_t txn_footprint_lines() const;
 
   /// Inter-retry backoff charged by the elision policy after an abort.
   /// Advances virtual time like compute(), but books the cycles into the
@@ -109,6 +107,9 @@ class Context {
   };
 
  private:
+  /// Roll back the live transaction with `cause`, account it as wasted,
+  /// charge lat_abort and throw TxAbort{cause, code}.
+  [[noreturn]] void abort_tx(AbortCause cause, std::uint8_t code = 0);
   /// If a remote conflict doomed our transaction, roll back and throw.
   void check_doom();
   /// Cycle-accounting / tracing hooks around transactional regions.

@@ -126,19 +126,21 @@ bool MemorySystem::doom(ThreadId victim, AbortCause cause, Addr line,
   return true;
 }
 
-void MemorySystem::detect_conflicts(ThreadId t, Addr line, bool is_write) {
-  const ThreadMask self = ThreadMask{1} << t;
-  // A read conflicts with remote transactional writers; a write conflicts
-  // with remote transactional readers *and* writers.
-  ThreadMask victims = 0;
-  if (auto it = line_writers_.find(line); it != line_writers_.end()) {
-    victims |= it->second & ~self;
-  }
-  if (is_write) {
-    if (auto it = line_readers_.find(line); it != line_readers_.end()) {
-      victims |= it->second & ~self;
+void MemorySystem::detect_conflicts(ThreadId t, Addr line, bool is_write,
+                                    const CacheLevel::Entry* e) {
+  TxMasks sets;
+  if (e != nullptr) {
+    sets = e->tx_sets;
+  } else if (!tx_overflow_.empty()) {
+    if (auto it = tx_overflow_.find(line); it != tx_overflow_.end()) {
+      sets = it->second;
     }
   }
+  // A read conflicts with remote transactional writers; a write conflicts
+  // with remote transactional readers *and* writers.
+  ThreadMask victims = sets.writers;
+  if (is_write) victims |= sets.readers;
+  victims &= ~(ThreadMask{1} << t);
   const Addr line_addr = line * cfg_.line_bytes;
   while (victims != 0) {
     int v = __builtin_ctzll(victims);
@@ -149,21 +151,13 @@ void MemorySystem::detect_conflicts(ThreadId t, Addr line, bool is_write) {
   }
 }
 
-void MemorySystem::tx_track(ThreadId t, Addr line, bool is_write) {
+void MemorySystem::tx_track(ThreadId t, CacheLevel::Entry& e,
+                            bool is_write) {
   const ThreadMask bit = ThreadMask{1} << t;
-  if (is_write) {
-    ThreadMask& mask = line_writers_[line];
-    if ((mask & bit) == 0) {
-      mask |= bit;
-      tx_[t].write_lines.push_back(line);
-    }
-  } else {
-    ThreadMask& mask = line_readers_[line];
-    if ((mask & bit) == 0) {
-      mask |= bit;
-      tx_[t].read_lines.push_back(line);
-    }
-  }
+  ThreadMask& mask = is_write ? e.tx_sets.writers : e.tx_sets.readers;
+  if ((mask & bit) != 0) return;
+  mask |= bit;
+  (is_write ? tx_[t].write_lines : tx_[t].read_lines).push_back(e.line);
 }
 
 bool MemorySystem::read_evict_dooms(Addr line) {
@@ -206,7 +200,7 @@ void MemorySystem::on_llc_eviction(const CacheTouch& touch, int slice) {
 
   // Write-set capacity: the (inclusion-mandated) back-invalidation below
   // destroys the speculative data of any transactionally written copy.
-  ThreadMask writers = writers_of_line(line);
+  ThreadMask writers = touch.evicted_tx_sets.writers;
   while (writers != 0) {
     int w = __builtin_ctzll(writers);
     writers &= writers - 1;
@@ -222,7 +216,7 @@ void MemorySystem::on_llc_eviction(const CacheTouch& touch, int slice) {
   // line. Readers still holding it in their L1 were precisely tracked until
   // now and enter the secondary structure as they are back-invalidated;
   // either way each reader takes one deterministic imprecision draw.
-  ThreadMask readers = readers_of_line(line);
+  ThreadMask readers = touch.evicted_tx_sets.readers;
   while (readers != 0) {
     int r = __builtin_ctzll(readers);
     readers &= readers - 1;
@@ -241,6 +235,13 @@ void MemorySystem::on_llc_eviction(const CacheTouch& touch, int slice) {
                           heap_.name_of(evicted_addr));
       }
     }
+  }
+
+  // The masks outlive the entry: doomed or not, each thread keeps its bit
+  // until it commits or rolls back, so the overflow map holds them until
+  // then or until a DRAM fill of the line takes them back.
+  if (touch.evicted_tx_sets.any()) {
+    tx_overflow_.emplace(line, touch.evicted_tx_sets);
   }
 
   // Inclusion: drop every L1 copy. Directory state (the entry's dirty/
@@ -286,9 +287,16 @@ void MemorySystem::update_directory(CacheLevel::Entry& e, int core,
 AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
   const int core = core_of(t);
   const int socket = cfg_.socket_of_core(core);
-  TxState& tx = tx_[t];
-  const bool tx_write = tx.active && is_write;
-  const bool tx_read = tx.active && !is_write;
+  const bool tx_active = tx_[t].active;
+  const bool tx_write = tx_active && is_write;
+  const bool tx_read = tx_active && !is_write;
+  const int slice = slice_of(line);
+  CacheLevel& llc = llc_[slice];
+  // L1 touches and evictions never mutate the LLC, so this entry stays
+  // valid up to the fill below.
+  CacheLevel::Entry* e = llc.find(line);
+  detect_conflicts(t, line, is_write, e);
+
   ThreadStats& st = stats_[t];
   st.mem_accesses++;
   SocketStats& sock = socket_stats_[socket];
@@ -307,10 +315,7 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
   }
 
   AccessResult r;
-  const int slice = slice_of(line);
-  CacheLevel& llc = llc_[slice];
   SliceStats& slst = slice_stats_[slice];
-  CacheLevel::Entry* e = llc.find(line);
   if (l1t.hit) {
     if (e == nullptr) {
       // Every L1-resident line must be resident in its owning slice; a miss
@@ -326,6 +331,7 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
     // An L1 hit never consults the interconnect: no hop, straight to the
     // directory update below.
     update_directory(*e, core, is_write);
+    if (tx_active) tx_track(t, *e, is_write);
     return r;
   }
 
@@ -406,10 +412,14 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
       on_llc_eviction(fill, slice);
     }
     e = llc.find(line);
+    if (!tx_overflow_.empty()) {
+      if (auto node = tx_overflow_.extract(line)) e->tx_sets = node.mapped();
+    }
   }
   r.latency += hop;
   st.hop_cycles += hop;
   update_directory(*e, core, is_write);
+  if (tx_active) tx_track(t, *e, is_write);
   return r;
 }
 
@@ -418,9 +428,7 @@ AccessResult MemorySystem::load(ThreadId t, Addr a, unsigned size) {
   const Addr line = line_of(a);
   TxState& tx = tx_[t];
 
-  detect_conflicts(t, line, /*is_write=*/false);
   AccessResult r = cache_access(t, line, /*is_write=*/false);
-  if (tx.active) tx_track(t, line, /*is_write=*/false);
 
   // Read our own speculative value if present.
   if (tx.active && !tx.write_buffer.empty()) {
@@ -444,7 +452,6 @@ AccessResult MemorySystem::store(ThreadId t, Addr a, std::uint64_t v,
   const Addr line = line_of(a);
   TxState& tx = tx_[t];
 
-  detect_conflicts(t, line, /*is_write=*/true);
   AccessResult r = cache_access(t, line, /*is_write=*/true);
 
   if (!tx.active) {
@@ -452,7 +459,6 @@ AccessResult MemorySystem::store(ThreadId t, Addr a, std::uint64_t v,
     return r;
   }
 
-  tx_track(t, line, /*is_write=*/true);
   // Merge into the word-granularity speculative buffer.
   const Addr word = a & ~static_cast<Addr>(7);
   std::uint64_t w;
@@ -487,23 +493,21 @@ void MemorySystem::tx_begin(ThreadId t) {
   stats_[t].tx_started++;
 }
 
-void MemorySystem::clear_tx_registry(ThreadId t) {
-  const ThreadMask bit = ThreadMask{1} << t;
-  TxState& tx = tx_[t];
-  for (Addr line : tx.read_lines) {
-    auto it = line_readers_.find(line);
-    if (it != line_readers_.end()) {
-      it->second &= ~bit;
-      if (it->second == 0) line_readers_.erase(it);
+void MemorySystem::release_tx_lines(ThreadId t, bool invalidate_writes) {
+  const ThreadMask keep = ~(ThreadMask{1} << t);
+  const TxState& tx = tx_[t];
+  CacheLevel& l1 = l1_[core_of(t)];
+  auto release = [&](Addr line, ThreadMask TxMasks::*set) {
+    if (CacheLevel::Entry* e = llc_[slice_of(line)].find(line)) {
+      e->tx_sets.*set &= keep;
+    } else if (auto it = tx_overflow_.find(line); it != tx_overflow_.end()) {
+      it->second.*set &= keep;
+      if (!it->second.any()) tx_overflow_.erase(it);
     }
-  }
-  for (Addr line : tx.write_lines) {
-    auto it = line_writers_.find(line);
-    if (it != line_writers_.end()) {
-      it->second &= ~bit;
-      if (it->second == 0) line_writers_.erase(it);
-    }
-  }
+    l1.clear_tx_marks(line, t, invalidate_writes);
+  };
+  for (Addr line : tx.read_lines) release(line, &TxMasks::readers);
+  for (Addr line : tx.write_lines) release(line, &TxMasks::writers);
 }
 
 void MemorySystem::tx_end(ThreadId t) {
@@ -517,8 +521,7 @@ void MemorySystem::tx_end(ThreadId t) {
   for (const auto& [word, value] : tx.write_buffer) {
     heap_.write_word(word, value, 8);
   }
-  clear_tx_registry(t);
-  l1_[core_of(t)].clear_tx_marks(t, /*invalidate_writes=*/false);
+  release_tx_lines(t, /*invalidate_writes=*/false);
   tx.reset();
   stats_[t].tx_committed++;
 }
@@ -541,8 +544,7 @@ void MemorySystem::tx_rollback(ThreadId t, AbortCause cause) {
       slice.set_stats(slice.set_of(line)).capacity_read_dooms++;
     }
   }
-  clear_tx_registry(t);
-  l1_[core_of(t)].clear_tx_marks(t, /*invalidate_writes=*/true);
+  release_tx_lines(t, /*invalidate_writes=*/true);
   tx.reset();
   stats_[t].tx_aborted[static_cast<size_t>(cause)]++;
 }
@@ -550,20 +552,9 @@ void MemorySystem::tx_rollback(ThreadId t, AbortCause cause) {
 void MemorySystem::reset_all_tx() {
   for (ThreadId t = 0; t < static_cast<ThreadId>(tx_.size()); ++t) {
     if (!tx_[t].active) continue;
-    clear_tx_registry(t);
-    l1_[core_of(t)].clear_tx_marks(t, /*invalidate_writes=*/true);
+    release_tx_lines(t, /*invalidate_writes=*/true);
     tx_[t].reset();
   }
-}
-
-ThreadMask MemorySystem::readers_of_line(Addr line) const {
-  auto it = line_readers_.find(line);
-  return it == line_readers_.end() ? 0 : it->second;
-}
-
-ThreadMask MemorySystem::writers_of_line(Addr line) const {
-  auto it = line_writers_.find(line);
-  return it == line_writers_.end() ? 0 : it->second;
 }
 
 }  // namespace tsxhpc::sim

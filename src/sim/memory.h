@@ -32,8 +32,12 @@
 //
 // The MESI-style coherence directory lives in the LLC's entries: directory
 // state exists exactly for LLC-resident lines and is reclaimed on eviction,
-// so the memory system's footprint is bounded by the configured geometry
-// (plus the transient read/write-set registries of active transactions).
+// so the memory system's footprint is bounded by the configured geometry.
+// Each line's live transactional reader/writer masks ride in the same entry.
+// An LLC eviction moves a tracked line's masks, unchanged, into one overflow
+// map (the secondary tracker), and a DRAM fill of the line takes them back,
+// so a tracked line's masks always live in exactly one place. Commit and
+// abort walk the thread's own read/write lines, not a whole cache level.
 #pragma once
 
 #include <cstdint>
@@ -67,16 +71,13 @@ struct TxState {
   ThreadId doom_aggressor = -1;
   bool doom_was_write = false;
 
-  // Line-granularity read/write sets (global registry holds reverse maps).
+  // Line-granularity read/write sets: the per-thread index of the lines
+  // whose LLC-entry (or overflow) masks carry this thread's bit.
   std::vector<Addr> read_lines;
   std::vector<Addr> write_lines;
 
   // Word-granularity (8 B aligned) speculative write buffer: address -> value.
   std::unordered_map<Addr, std::uint64_t> write_buffer;
-
-  std::size_t footprint_lines() const {
-    return read_lines.size() + write_lines.size();
-  }
 
   void reset() {
     active = false;
@@ -145,7 +146,6 @@ class MemorySystem {
 
   bool in_tx(ThreadId t) const { return tx_[t].active; }
   const TxState& tx_state(ThreadId t) const { return tx_[t]; }
-  TxState& tx_state_mut(ThreadId t) { return tx_[t]; }
 
   /// True if t has been doomed by a remote conflict and must roll back.
   bool doomed(ThreadId t) const { return tx_[t].doomed; }
@@ -178,8 +178,6 @@ class MemorySystem {
   /// machine).
   const CacheLevel& llc(int slice = 0) const { return llc_[slice]; }
   int num_slices() const { return static_cast<int>(llc_.size()); }
-  ThreadMask readers_of_line(Addr line) const;
-  ThreadMask writers_of_line(Addr line) const;
   /// Lines with live directory state == LLC-resident lines (the directory
   /// rides in each slice's entries; boundedness tests check this never
   /// exceeds the configured LLC capacity).
@@ -188,10 +186,12 @@ class MemorySystem {
     for (const CacheLevel& s : llc_) n += s.resident_lines();
     return n;
   }
-  /// Live entries across the transactional reverse maps (bounded by the
-  /// footprints of currently active transactions).
+  /// Lines with live transactional masks, LLC-resident or overflowed
+  /// (bounded by the footprints of currently active transactions).
   std::size_t tx_registry_entries() const {
-    return line_readers_.size() + line_writers_.size();
+    std::size_t n = tx_overflow_.size();
+    for (const CacheLevel& s : llc_) n += s.tx_tracked_lines();
+    return n;
   }
 
  private:
@@ -205,8 +205,11 @@ class MemorySystem {
   int home_socket(Addr line, int requester_socket);
 
   /// Eager conflict detection, requester wins: doom every *other* thread
-  /// whose transactional sets overlap this access.
-  void detect_conflicts(ThreadId t, Addr line, bool is_write);
+  /// whose transactional sets overlap this access. `e` is the line's LLC
+  /// entry, or null when the line is not LLC-resident (its masks, if any,
+  /// are then in the overflow map).
+  void detect_conflicts(ThreadId t, Addr line, bool is_write,
+                        const CacheLevel::Entry* e);
 
   /// Returns true if the victim was actually doomed by this call (it had an
   /// active, not-yet-doomed transaction). `line` is the byte address of the
@@ -215,12 +218,14 @@ class MemorySystem {
   bool doom(ThreadId victim, AbortCause cause, Addr line, ThreadId aggressor,
             bool is_write);
 
-  /// Track line membership in t's transactional read or write set.
-  void tx_track(ThreadId t, Addr line, bool is_write);
+  /// Track line membership in t's transactional read or write set, on the
+  /// line's (resident) LLC entry.
+  void tx_track(ThreadId t, CacheLevel::Entry& e, bool is_write);
 
-  /// Run the hierarchy (L1 -> owning slice's directory/LLC -> DRAM);
-  /// returns the latency (including any slice/socket hop charges) and the
-  /// level that served the access.
+  /// Run the hierarchy (conflict check -> L1 -> owning slice's directory/LLC
+  /// -> DRAM) and track the line if t is in a transaction; returns the
+  /// latency (including any slice/socket hop charges) and the level that
+  /// served the access.
   AccessResult cache_access(ThreadId t, Addr line, bool is_write);
 
   /// Capacity consequences of an L1 eviction: doom the tx writer (write-set
@@ -232,7 +237,7 @@ class MemorySystem {
   /// (inclusion), doom tx writers (kCapacityWrite), and doom tx readers
   /// with read_evict_abort_prob (kCapacityRead) — the secondary tracker
   /// loses the line with the slice that backed it. Directory state dies
-  /// with the entry.
+  /// with the entry; its tx masks move to the overflow map.
   void on_llc_eviction(const CacheTouch& touch, int slice);
 
   /// MESI-style directory update on the line's LLC entry: a write
@@ -244,8 +249,10 @@ class MemorySystem {
   /// true = the eviction dooms the reader.
   bool read_evict_dooms(Addr line);
 
-  /// Remove t's bits from the global line->readers/writers registries.
-  void clear_tx_registry(ThreadId t);
+  /// End t's transaction in the line state: for each line of its read and
+  /// write sets, clear t's bit in the line's masks (LLC entry or overflow)
+  /// and t's L1 marks on it. Aborts also drop the lines t wrote from the L1.
+  void release_tx_lines(ThreadId t, bool invalidate_writes);
 
   void check_alignment(Addr a, unsigned size) const;
 
@@ -256,13 +263,12 @@ class MemorySystem {
   std::vector<CacheLevel> llc_;  // one inclusive slice per topology slice;
                                  // each hosts its shard of the directory
   std::vector<TxState> tx_;      // per hardware thread
-  // Reverse maps: line -> bitmask of hw threads with the line in their
-  // transactional read / write set. Enables O(1) conflict checks and keeps
-  // evicted-read lines visible to conflict detection (the secondary
-  // tracker); entries are erased when the last bit clears, so the maps stay
-  // bounded by live transactional footprints.
-  std::unordered_map<Addr, ThreadMask> line_readers_;
-  std::unordered_map<Addr, ThreadMask> line_writers_;
+  // The secondary tracker: tx masks of lines evicted from their LLC slice
+  // while still in some live read/write set. Keeps them visible to conflict
+  // detection until a DRAM fill moves them back into the new entry; entries
+  // are erased when the last bit clears, so the map stays bounded by live
+  // transactional footprints.
+  std::unordered_map<Addr, TxMasks> tx_overflow_;
   // v6 topology counters (one run's worth; Machine::run resets them) and
   // the sharing-aware first-touch home registry (persistent across runs,
   // like cache contents; only populated on multi-socket machines).

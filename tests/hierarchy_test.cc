@@ -307,9 +307,9 @@ TEST(Topology, FiberAndThreadBackendsAreByteIdenticalOnSlicedMachine) {
 }
 
 TEST(Hierarchy, TxRegistryDrainsAfterCommitsAndAborts) {
-  // The reverse tx-line maps are transient: committed and aborted
-  // transactions both return the registry to empty, so it is bounded by
-  // live footprints, not run length.
+  // Transactional line masks are transient: committed and aborted
+  // transactions both clear them, in the LLC entries and in the overflow
+  // map, so they are bounded by live footprints, not run length.
   MachineConfig cfg;
   cfg.read_evict_abort_prob = 1.0;
   SetProbe p(cfg);

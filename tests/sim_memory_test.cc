@@ -370,6 +370,94 @@ TEST(Tx, EvictedReadLineStillDetectsConflicts) {
   EXPECT_EQ(aborts, 1);
 }
 
+// A reader whose line leaves the LLC keeps it in its read set (the overflow
+// tracker), and a remote store must still doom it. With `refill`, a remote
+// load first brings the line back into the LLC, which must carry the
+// reader's mask with it.
+void llc_evicted_read_line_still_conflicts(bool refill) {
+  MachineConfig mc = quantum0();
+  mc.read_evict_abort_prob = 0.0;  // the reader survives the eviction
+  Machine m(mc);
+  const auto& cfg = m.config();
+  // L1 and LLC have the same set count, so one stride aliases both.
+  const std::size_t set_stride =
+      static_cast<std::size_t>(cfg.llc_sets()) * cfg.line_bytes;
+  Addr probe = m.alloc(64, 64);
+  Addr alias = m.alloc(set_stride * (cfg.llc_ways + 3), 64);
+  alias += (probe % set_stride) - (alias % set_stride);
+  const Addr probe_line = cfg.line_of(probe);
+  int aborts = 0;
+  m.run({.bodies = {
+      [&](Context& c) {
+        try {
+          c.xbegin();
+          c.load(probe);
+          for (std::uint32_t i = 0; i < cfg.llc_ways + 2; ++i) {
+            c.load(alias + i * set_stride);
+          }
+          EXPECT_FALSE(m.mem().llc().contains(probe_line));
+          for (int i = 0; i < 300; ++i) c.compute(100);
+          c.xend();
+        } catch (const TxAbort& a) {
+          aborts++;
+          EXPECT_EQ(a.cause, AbortCause::kConflict);
+        }
+      },
+      [&](Context& c) {
+        c.compute(8000);
+        if (refill) {
+          c.load(probe);  // read/read: no conflict, but refills the LLC
+          EXPECT_TRUE(m.mem().llc().contains(probe_line));
+        }
+        c.store(probe, 1);
+      },
+  }});
+  EXPECT_EQ(aborts, 1);
+  EXPECT_EQ(m.mem().tx_registry_entries(), 0u);
+}
+
+TEST(Tx, LlcEvictedReadLineStillDetectsConflicts) {
+  llc_evicted_read_line_still_conflicts(/*refill=*/false);
+}
+
+TEST(Tx, RefilledReadLineKeepsItsReaders) {
+  llc_evicted_read_line_still_conflicts(/*refill=*/true);
+}
+
+TEST(Tx, SiblingAbortKeepsTheNewWritersLine) {
+  // Threads 0 and 4 share core 0's L1. Thread 4's transactional store dooms
+  // thread 0, which wrote the same line first; thread 0's rollback must
+  // drop only its own L1 marks, not the line thread 4 now owns.
+  Machine m(quantum0());
+  auto cell = Shared<std::uint64_t>::alloc(m, 0);
+  const Addr line = m.config().line_of(cell.addr());
+  std::vector<std::function<void(Context&)>> bodies(8, [](Context& c) {
+    c.compute(1);
+  });
+  bodies[0] = [&](Context& c) {
+    try {
+      c.xbegin();
+      cell.store(c, 10);
+      for (int i = 0; i < 200; ++i) c.compute(100);
+      c.xend();
+    } catch (const TxAbort& a) {
+      EXPECT_EQ(a.cause, AbortCause::kConflict);
+    }
+  };
+  bodies[4] = [&](Context& c) {
+    c.compute(2000);
+    c.xbegin();
+    cell.store(c, 20);
+    for (int i = 0; i < 10; ++i) c.compute(100);  // thread 0 rolls back
+    EXPECT_TRUE(m.mem().l1_of_core(0).contains(line));
+    c.xend();
+  };
+  RunStats rs = m.run({.bodies = bodies});
+  EXPECT_EQ(rs.threads[0].tx_aborted[size_t(AbortCause::kConflict)], 1u);
+  EXPECT_EQ(rs.threads[4].tx_committed, 1u);
+  EXPECT_EQ(cell.peek(m), 20u);
+}
+
 TEST(Tx, SmtSiblingPressureCausesCapacityAborts) {
   // Two threads on the same core (tids 0 and 4 with 4 cores) hammering
   // disjoint data halve each other's effective L1 capacity.
