@@ -42,7 +42,6 @@ struct Config {
   /// Dynamic-coarsening batch size (TXN_GRAN in Listing 3). 0 = the
   /// workload's default. Only meaningful for kTsxCoarsen.
   std::size_t gran = 0;
-  sync::ElisionPolicy policy{};
   /// Telemetry label for the runs this invocation records (carried into
   /// Machine::run via RunSpec; empty = telemetry default naming).
   std::string run_label;

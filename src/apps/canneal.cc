@@ -25,7 +25,7 @@ Result run_canneal(const Config& cfg) {
   auto ver =
       SharedArray<std::uint64_t>::alloc(m, {.name = "canneal/ver"}, n_elements, 0);
   for (std::size_t i = 0; i < n_elements; ++i) loc.at(i).init(m, i);
-  sync::ElidedLock elided(m, cfg.policy);
+  sync::ElidedLock elided(m);
 
   Result r = run_region(cfg, m, [&](Context& c) {
     Xoshiro256 rng(cfg.seed * 131 + c.tid());

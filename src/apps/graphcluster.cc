@@ -27,7 +27,7 @@ Result run_graphcluster(const Config& cfg) {
   std::vector<sync::SpinLock> locks;
   locks.reserve(n_vertices);
   for (std::size_t i = 0; i < n_vertices; ++i) locks.emplace_back(m);
-  sync::ElidedLockSet lockset(cfg.policy);
+  sync::ElidedLockSet lockset;
 
   // Graph: fixed-degree adjacency, host-side (read-only topology).
   std::vector<std::array<std::uint32_t, kDegree>> adj(n_vertices);

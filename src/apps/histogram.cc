@@ -21,7 +21,7 @@ Result run_histogram(const Config& cfg) {
   const std::size_t gran = cfg.gran != 0 ? cfg.gran : 8;
 
   auto bins = SharedArray<std::uint64_t>::alloc(m, {.name = "histogram/bins"}, n_bins, 0);
-  sync::ElidedLock elided(m, cfg.policy);
+  sync::ElidedLock elided(m);
 
   // Input pixels (host-side, read-only).
   std::vector<std::uint32_t> pixels(n_items);

@@ -27,7 +27,7 @@ Result run_nufft(const Config& cfg) {
   std::vector<sync::SpinLock> locks;
   locks.reserve(n_locks);
   for (std::size_t i = 0; i < n_locks; ++i) locks.emplace_back(m);
-  sync::ElidedLock elided(m, cfg.policy);
+  sync::ElidedLock elided(m);
 
   struct Sample {
     std::uint32_t cell;  // first grid cell of its kernel support

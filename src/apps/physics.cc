@@ -29,7 +29,7 @@ Result run_physics(const Config& cfg) {
   std::vector<sync::SpinLock> locks;
   locks.reserve(n_objects);
   for (std::size_t i = 0; i < n_objects; ++i) locks.emplace_back(m);
-  sync::ElidedLockSet lockset(cfg.policy);
+  sync::ElidedLockSet lockset;
 
   // Constraints between object pairs. A FEW objects participate in MANY
   // constraints (Section 5.4.2: "the input scene has a few objects with

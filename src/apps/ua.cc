@@ -20,7 +20,7 @@ Result run_ua(const Config& cfg) {
   const std::size_t gran = cfg.gran != 0 ? cfg.gran : 4;
 
   auto tmor = SharedArray<double>::alloc(m, {.name = "ua/tmor"}, n_mortars, 0.0);
-  sync::ElidedLock elided(m, cfg.policy);
+  sync::ElidedLock elided(m);
 
   // Host-side inputs: per-point mortar indices and contribution values.
   struct Point {

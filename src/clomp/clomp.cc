@@ -77,7 +77,7 @@ Result run(const Config& cfg, Scheme scheme) {
   const int total_zones = cfg.threads * cfg.zones_per_thread;
   Mesh mesh(m, cfg, total_zones);
   sync::SpinLock global_lock(m);
-  sync::ElidedLock elided(m, cfg.policy);
+  sync::ElidedLock elided(m);
 
   auto body = [&](Context& c) {
     // With T worker threads each owns total_zones/T contiguous zones; the

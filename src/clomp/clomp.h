@@ -49,7 +49,6 @@ struct Config {
   /// (0 reproduces Figure 1's no-contention setup).
   double cross_partition_fraction = 0.0;
   std::uint64_t seed = 42;
-  sync::ElisionPolicy policy{};
   /// Telemetry label for the runs this invocation records (carried into
   /// Machine::run via RunSpec; empty = telemetry default naming).
   std::string run_label;

@@ -40,7 +40,7 @@ std::uint64_t digest(const std::uint8_t* buf, std::size_t n) {
 template <typename ClientFn, typename ServerFn>
 Result run_app(const Config& cfg, ClientFn&& client, ServerFn&& server) {
   Machine m(cfg.machine);
-  NetStack stack(m, cfg.scheme, cfg.connections, 64 * 1024, cfg.policy);
+  NetStack stack(m, cfg.scheme, cfg.connections, 64 * 1024);
 
   std::vector<std::uint64_t> sent_digest(cfg.connections, 0);
   std::vector<std::uint64_t> recv_digest(cfg.connections, 0);

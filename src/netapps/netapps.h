@@ -25,7 +25,6 @@ struct Config {
   int connections = 4;
   std::uint64_t seed = 11;
   double scale = 1.0;
-  sync::ElisionPolicy policy{};
   /// Telemetry label for the runs this invocation records (carried into
   /// Machine::run via RunSpec; empty = telemetry default naming).
   std::string run_label;

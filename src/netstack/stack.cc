@@ -49,9 +49,8 @@ void SocketBuffer::mark_eof(Context& c) { eof_.store(c, 1); }
 bool SocketBuffer::eof(Context& c) const { return eof_.load(c) != 0; }
 
 NetStack::NetStack(Machine& m, sync::MonitorScheme scheme,
-                   int num_connections, std::size_t socket_bytes,
-                   sync::ElisionPolicy policy)
-    : monitor_(m, scheme, policy),
+                   int num_connections, std::size_t socket_bytes)
+    : monitor_(m, scheme),
       next_slot_(sim::Shared<std::uint64_t>::alloc(m, {.name = "netstack/next_slot"}, 0)),
       accept_head_(
           sim::Shared<std::uint64_t>::alloc(m, {.name = "netstack/accept"}, 0)),

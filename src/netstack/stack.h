@@ -76,8 +76,7 @@ class NetStack {
   static constexpr int kNoConnection = -1;
   /// `scheme` selects the locking-module implementation (Figure 6 series).
   NetStack(Machine& m, sync::MonitorScheme scheme, int num_connections,
-           std::size_t socket_bytes = 16 * 1024,
-           sync::ElisionPolicy policy = {});
+           std::size_t socket_bytes = 16 * 1024);
 
   Connection& conn(int i) { return *conns_[i]; }
   int num_connections() const { return static_cast<int>(conns_.size()); }

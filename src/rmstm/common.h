@@ -27,7 +27,7 @@ using sim::Xoshiro256;
 class CsRunner {
  public:
   CsRunner(Machine& m, const Config& cfg, std::size_t n_entities)
-      : scheme_(cfg.scheme), global_(m, cfg.policy) {
+      : scheme_(cfg.scheme), global_(m) {
     fine_.reserve(n_entities);
     for (std::size_t i = 0; i < n_entities; ++i) fine_.emplace_back(m);
   }
@@ -63,8 +63,6 @@ class CsRunner {
     sync::Guard<sync::SpinLock> g2(c, fine_[hi]);
     f();
   }
-
-  const sync::ElisionStats& elision_stats() const { return global_.stats(); }
 
  private:
   Scheme scheme_;

@@ -236,8 +236,8 @@ struct MachineConfig {
   BackendKind backend = default_backend();
   /// Retry/backoff/fallback policy for every elided primitive built over
   /// this machine (the benches' --policy= flag). The knob selects the
-  /// *brain* (sync::TxPolicy); the per-primitive numbers still come from
-  /// each workload's sync::ElisionPolicy.
+  /// *brain* (sync::TxPolicy); the numbers (retry budget, backoff) come
+  /// from each primitive's sync::ElisionPolicy.
   TxPolicyKind tx_policy = TxPolicyKind::kPaper;
   /// Placement strategy for named shared-heap allocations (the benches'
   /// --alloc= flag; see sim/alloc.h). kBump is bit-for-bit the historic

@@ -11,7 +11,7 @@ namespace tsxhpc::stamp {
 
 Result run_bayes(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
 
   const std::size_t n_vars = scaled(cfg.scale, 24, 8);
   const std::size_t n_moves = scaled(cfg.scale, 192, 16);

@@ -11,7 +11,7 @@ namespace tsxhpc::stamp {
 
 Result run_genome(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
   TxArena arena(m);
 
   // The "gene" is a cyclic sequence of n_unique segments; the sequencer

@@ -12,7 +12,7 @@ namespace tsxhpc::stamp {
 
 Result run_intruder(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
   TxArena arena(m);
 
   const std::size_t n_flows = scaled(cfg.scale, 512, 16);

@@ -18,7 +18,7 @@ constexpr std::size_t kDims = 16;  // two cache lines of doubles per center
 
 Result run_kmeans(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
 
   const std::size_t n_points = scaled(cfg.scale, 2048, 64);
   const std::size_t k = 8;  // high-contention: few clusters

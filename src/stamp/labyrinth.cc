@@ -22,7 +22,7 @@ struct Pt {
 
 Result run_labyrinth(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
 
   // Grid sized to exceed the L1 (the "-i random-x48-y48-z3" flavour).
   const std::size_t dim = scaled(cfg.scale, 80, 16);

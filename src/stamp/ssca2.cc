@@ -9,7 +9,7 @@ namespace tsxhpc::stamp {
 
 Result run_ssca2(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
 
   const std::size_t n_vertices = scaled(cfg.scale, 4096, 64);
   const std::size_t n_edges = scaled(cfg.scale, 16384, 256);

@@ -27,7 +27,6 @@ struct Config {
   std::uint64_t seed = 1;
   /// Input scale multiplier (1.0 = the default reduced inputs).
   double scale = 1.0;
-  sync::ElisionPolicy policy{};
   /// Telemetry label for the runs this invocation records (carried into
   /// Machine::run via RunSpec; empty = telemetry default naming).
   std::string run_label;

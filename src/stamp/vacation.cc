@@ -12,7 +12,7 @@ namespace tsxhpc::stamp {
 
 Result run_vacation(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
   TxArena arena(m);
 
   const std::size_t n_relations = scaled(cfg.scale, 4096, 32);

@@ -17,7 +17,7 @@ namespace tsxhpc::stamp {
 
 Result run_yada(const Config& cfg) {
   Machine m(cfg.machine);
-  TmRuntime rt(m, cfg.backend, cfg.policy);
+  TmRuntime rt(m, cfg.backend);
   TxArena arena(m);
 
   const std::size_t n_initial = scaled(cfg.scale, 384, 16);

@@ -1,21 +1,42 @@
 // RTM-based lock elision — the synchronization-library technique at the heart
 // of the paper (Section 3), plus *lockset elision* (Section 5.2.1).
 //
-// The elision wrapper executes a critical section transactionally. The lock
-// word is read ("subscribed") inside the transaction and the section aborts
-// if the lock is held, guaranteeing correct interaction with threads that
-// acquired the lock explicitly. On abort, the machine's TxPolicy (see
-// sync/policy.h) decides between retrying transactionally and falling back to
-// a real acquisition; the paper found 5 retries best on its hardware and
-// workloads, which is our default. The wrapper here only *executes* the
-// decisions — spins on its own lock words, charges backoff through
-// Context::tx_backoff — so cycle accounting stays in the primitive.
+// Every elided primitive (ElidedLock, ElidedLockSet and, in monitor.h,
+// TxMonitor) runs its critical sections through one loop, run_elided(),
+// which owns the whole Section 3 protocol:
+//
+//   1. open the telemetry section and ask the machine's TxPolicy (see
+//      sync/policy.h) whether to elide at all; a "no" is recorded as a skip
+//      and goes straight to step 4 without telling the policy;
+//   2. XBEGIN, subscribe every lock word (a held word aborts with
+//      kAbortCodeLockBusy), run the body, XEND; a commit is counted in
+//      ElisionStats, the policy and telemetry;
+//   3. on abort, one decision per abort: the policy's (or the primitive's
+//      own retry rule), recorded in telemetry, then the wait on the
+//      subscribed words or the backoff it asks for; retry or fall back;
+//   4. fall back: tell the policy (unless skipped), take the real lock and
+//      run the body as one timed, serialized FallbackSlice.
+//
+// A primitive supplies a Section with only what differs:
+//   locks                 the locks whose word() is subscribed; the first
+//                         names the site, and an empty set reports nothing
+//   run_tx(c)             the body inside the transaction; false means the
+//                         body committed the transaction itself (the
+//                         monitor's early commit before a wait)
+//   own_retry(abort)      aborts the primitive retries by its own rule,
+//                         burning an attempt (the monitor's condvar abort)
+//   fallback(c, tel)      take the real lock, run the body in a
+//                         FallbackSlice, release
+//
+// The loop holds no heap state and calls the Section statically, so the
+// per-section cost is the primitive's own.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,65 +60,157 @@ struct ElisionStats {
   }
 };
 
+/// An elided section nested in an outer transactional region: subscribe
+/// `word` too and run flat; any abort unwinds to the outermost retry loop.
+template <typename F>
+void run_flat_nested(Context& c, sim::Shared<std::uint32_t> word, F& f) {
+  c.xbegin();
+  if (word.load(c) != 0) c.xabort(kAbortCodeLockBusy);
+  f();
+  c.xend();
+}
+
+/// The timed fallback slice. Construct it right after the real lock is
+/// taken; run() executes the body as serialized work; close() ends the open
+/// telemetry section with the interval between the two. Each primitive
+/// chooses whether close() comes before or after its release.
+class FallbackSlice {
+ public:
+  FallbackSlice(Context& c, sim::Telemetry* tel)
+      : c_(c), tel_(tel), acquired_(tel ? c.now() : 0) {}
+
+  template <typename F>
+  void run(F&& body) {
+    {
+      Context::FallbackScope serialized(c_);
+      body();
+    }
+    released_ = tel_ ? c_.now() : 0;
+  }
+
+  void close() {
+    if (tel_) tel_->section_fallback(c_.tid(), acquired_, released_);
+  }
+
+ private:
+  Context& c_;
+  sim::Telemetry* tel_;
+  Cycles acquired_;
+  Cycles released_ = 0;
+};
+
+/// The elided-section loop (see the file comment for the protocol and the
+/// Section contract). Abort semantics follow hardware RTM: on abort,
+/// everything the section did is rolled back and the body re-executes from
+/// the top, so bodies must keep host-side effects idempotent.
+template <typename Section>
+void run_elided(Context& c, TxPolicy& brain, ElisionStats& stats,
+                sim::LockKind kind, Section& s) {
+  const bool named = !s.locks.empty();
+  const sim::Addr site =
+      named ? s.locks.front()->word().addr() : sim::kNullAddr;
+  sim::Telemetry* tel = named ? c.machine().telemetry() : nullptr;
+  const sim::ThreadId tid = c.tid();
+  if (tel) tel->section_enter(tid, site, kind);
+  // A skipped section (adaptive holiday or zero budget) is not reported to
+  // the policy's on_fallback: it carries no evidence about elision.
+  const bool elide = brain.should_attempt(site, tid);
+  if (!elide && tel) tel->policy_decision(tid, sim::PolicyDecision::kSkip);
+  for (int attempt = 0; elide; ++attempt) {
+    try {
+      c.xbegin();
+      // One XBEGIN subscribes every lock of the section: for a lockset this
+      // replaces N atomic acquisitions.
+      for (auto* l : s.locks) {
+        if (l->word().load(c) != 0) c.xabort(kAbortCodeLockBusy);
+      }
+      if (s.run_tx(c)) c.xend();
+      stats.elided_commits++;
+      brain.on_commit(site);
+      if (tel) tel->section_commit(tid);
+      return;
+    } catch (const sim::TxAbort& a) {
+      stats.aborts++;
+      const TxDecision d =
+          s.own_retry(a)
+              ? TxDecision::Retry(attempt + 1 < brain.max_attempts())
+              : brain.on_abort(site, tid, a, attempt);
+      if (tel) tel->policy_decision(tid, classify(d));
+      switch (d.action) {
+        case TxDecision::Action::kWaitForLock: {
+          Context::LockWaitScope wait(c);
+          for (auto* l : s.locks) {
+            while (l->word().load(c) != 0) c.compute(80);
+          }
+          break;
+        }
+        case TxDecision::Action::kBackoff:
+          c.tx_backoff(d.backoff);
+          break;
+        case TxDecision::Action::kNone:
+          break;
+      }
+      if (!d.retry) break;
+    }
+  }
+  stats.fallback_acquires++;
+  if (elide) brain.on_fallback(site, tid);
+  s.fallback(c, tel);
+}
+
+namespace detail {
+
+/// The Section of a SpinLock-guarded region: one lock (ElidedLock) or a set
+/// (ElidedLockSet). The fallback acquires the set in address order to stay
+/// deadlock free, each lock once: a batched lockset (dynamic coarsening
+/// over constraints sharing an object) may name the same lock twice, and
+/// acquiring it twice would self-deadlock.
+template <typename F>
+struct SpinLockSection {
+  std::span<SpinLock*> locks;
+  F& f;
+
+  bool run_tx(Context&) {
+    f();
+    return true;
+  }
+  static bool own_retry(const sim::TxAbort&) { return false; }
+
+  void fallback(Context& c, sim::Telemetry* tel) {
+    std::sort(locks.begin(), locks.end(),
+              [](const SpinLock* a, const SpinLock* b) {
+                return a->word().addr() < b->word().addr();
+              });
+    const std::span<SpinLock*> held =
+        locks.first(std::unique(locks.begin(), locks.end()) - locks.begin());
+    for (SpinLock* l : held) l->acquire(c);
+    FallbackSlice slice(c, tel);
+    slice.run(f);
+    for (auto it = held.rbegin(); it != held.rend(); ++it) (*it)->release(c);
+    slice.close();
+  }
+};
+
+}  // namespace detail
+
 /// A lock whose critical sections are executed via RTM lock elision.
 class ElidedLock {
  public:
-  ElidedLock() = default;
   explicit ElidedLock(Machine& m, ElisionPolicy policy = {})
-      : lock_(m), policy_(policy),
+      : lock_(m),
         brain_(make_tx_policy(m.config().tx_policy, policy, kTraits)) {}
 
-  /// Execute `f` as an elided critical section.
-  ///
-  /// Abort semantics follow hardware RTM: on abort, *everything* the section
-  /// did is rolled back and `f` re-executes from the top. Consequently `f`
-  /// must keep non-simulated (host) side effects idempotent or declare them
-  /// inside the lambda.
+  /// Execute `f` as an elided critical section (it may re-execute; see
+  /// run_elided).
   template <typename F>
   void critical(Context& c, F&& f) {
     if (c.in_txn()) {
-      // Nested elision inside an outer transactional region: subscribe this
-      // lock too and run flat; any abort unwinds to the outermost retry loop.
-      c.xbegin();
-      if (lock_.word().load(c) != 0) c.xabort(kAbortCodeLockBusy);
-      f();
-      c.xend();
+      run_flat_nested(c, lock_.word(), f);
       return;
     }
-    TxPolicy& brain = this->brain(c);
-    const sim::Addr site = lock_.word().addr();
-    sim::Telemetry* tel = c.machine().telemetry();
-    if (tel) tel->section_enter(c.tid(), site, sim::LockKind::kElided);
-    if (!brain.should_attempt(site, c.tid())) {
-      // Adaptive phase (or a zero retry budget): elision recently failed
-      // here; take the lock. The policy is NOT notified of this fallback —
-      // skipped sections carry no evidence about whether elision works.
-      if (tel) tel->policy_decision(c.tid(), sim::PolicyDecision::kSkip);
-      stats_.fallback_acquires++;
-      run_fallback(c, tel, f);
-      return;
-    }
-    for (int attempt = 0;; ++attempt) {
-      try {
-        c.xbegin();
-        if (lock_.word().load(c) != 0) c.xabort(kAbortCodeLockBusy);
-        f();
-        c.xend();
-        stats_.elided_commits++;
-        brain.on_commit(site);
-        if (tel) tel->section_commit(c.tid());
-        return;
-      } catch (const sim::TxAbort& a) {
-        stats_.aborts++;
-        const TxDecision d = brain.on_abort(site, c.tid(), a, attempt);
-        if (tel) tel->policy_decision(c.tid(), classify(d));
-        perform(c, d);
-        if (!d.retry) break;
-      }
-    }
-    stats_.fallback_acquires++;
-    brain.on_fallback(site, c.tid());
-    run_fallback(c, tel, f);
+    SpinLock* lock[] = {&lock_};
+    detail::SpinLockSection s{std::span<SpinLock*>(lock), f};
+    run_elided(c, *brain_, stats_, sim::LockKind::kElided, s);
   }
 
   /// Explicit (non-transactional) acquisition, for code that needs the lock
@@ -111,58 +224,14 @@ class ElidedLock {
 
   SpinLock& underlying() { return lock_; }
   const ElisionStats& stats() const { return stats_; }
-  const ElisionPolicy& policy() const { return policy_; }
 
  private:
-  friend class ElidedLockSet;
-
-  // ElidedLock is the only primitive with the full Section-3 handler:
-  // adaptive skip and the two-strikes capacity break.
+  // The full Section 3 handler: adaptive skip and the two-strikes capacity
+  // break.
   static constexpr TxSiteTraits kTraits{/*adaptive=*/true,
                                         /*capacity_break=*/true};
 
-  TxPolicy& brain(Context& c) {
-    // Default-constructed locks have no Machine until first use; bind the
-    // brain to the machine the first critical section runs on.
-    if (!brain_) {
-      brain_ = make_tx_policy(c.machine().config().tx_policy, policy_,
-                              kTraits);
-    }
-    return *brain_;
-  }
-
-  /// Execute the delay a decision asks for (the policy decides, we spin on
-  /// OUR lock word / charge OUR context — see file comment).
-  void perform(Context& c, const TxDecision& d) {
-    switch (d.action) {
-      case TxDecision::Action::kWaitForLock: {
-        Context::LockWaitScope wait(c);
-        while (lock_.word().load(c) != 0) c.compute(80);
-        break;
-      }
-      case TxDecision::Action::kBackoff:
-        c.tx_backoff(d.backoff);
-        break;
-      case TxDecision::Action::kNone:
-        break;
-    }
-  }
-
-  template <typename F>
-  void run_fallback(Context& c, sim::Telemetry* tel, F&& f) {
-    lock_.acquire(c);
-    const Cycles t_acq = tel ? c.now() : 0;
-    {
-      Context::FallbackScope serialized(c);
-      f();
-    }
-    const Cycles t_rel = tel ? c.now() : 0;
-    lock_.release(c);
-    if (tel) tel->section_fallback(c.tid(), t_acq, t_rel);
-  }
-
   SpinLock lock_;
-  ElisionPolicy policy_;
   ElisionStats stats_;
   std::shared_ptr<TxPolicy> brain_;
 };
@@ -170,111 +239,39 @@ class ElidedLock {
 /// Lockset elision (Section 5.2.1): replace the acquisition of a *set* of
 /// locks with a single transactional region. Used by physicsSolver (two
 /// object locks per constraint) and graphCluster (test-lock + set-lock
-/// paths). The fallback acquires the whole set in a canonical (address)
-/// order to stay deadlock free.
+/// paths). The set's first named lock names the site.
 class ElidedLockSet {
  public:
   explicit ElidedLockSet(ElisionPolicy policy = {}) : policy_(policy) {}
 
-  /// Elide `locks` (any iterable of SpinLock*) around `f`.
+  /// Elide `locks` around `f`.
   template <typename F>
   void critical(Context& c, std::initializer_list<SpinLock*> locks, F&& f) {
-    critical_impl(c, std::vector<SpinLock*>(locks), std::forward<F>(f));
+    critical(c, std::vector<SpinLock*>(locks), std::forward<F>(f));
   }
   template <typename F>
   void critical(Context& c, std::vector<SpinLock*> locks, F&& f) {
-    critical_impl(c, std::move(locks), std::forward<F>(f));
+    detail::SpinLockSection s{std::span<SpinLock*>(locks), f};
+    run_elided(c, brain(c), stats_, sim::LockKind::kLockset, s);
   }
 
   const ElisionStats& stats() const { return stats_; }
 
  private:
-  // Pre-seam lockset elision ran neither the adaptive skip nor the capacity
-  // break (a set shares one retry loop across many object pairs, so
-  // per-section strikes say little about the site).
+  // Neither the adaptive skip nor the capacity break: a set shares one
+  // retry loop across many object pairs, so per-section strikes say little
+  // about the site.
   static constexpr TxSiteTraits kTraits{/*adaptive=*/false,
                                         /*capacity_break=*/false};
 
   TxPolicy& brain(Context& c) {
+    // A set has no Machine until its first section: bind the brain to the
+    // machine that section runs on. Copies made after that share it.
     if (!brain_) {
       brain_ = make_tx_policy(c.machine().config().tx_policy, policy_,
                               kTraits);
     }
     return *brain_;
-  }
-
-  template <typename F>
-  void critical_impl(Context& c, std::vector<SpinLock*> locks, F&& f) {
-    TxPolicy& brain = this->brain(c);
-    // The set is identified by its first named lock (pre-sort, so the
-    // caller's primary lock names the site).
-    const sim::Addr site =
-        locks.empty() ? sim::kNullAddr : (*locks.begin())->word().addr();
-    sim::Telemetry* tel = c.machine().telemetry();
-    const bool report = tel && !locks.empty();
-    if (report) tel->section_enter(c.tid(), site, sim::LockKind::kLockset);
-    bool elide = brain.should_attempt(site, c.tid());
-    if (!elide && report) {
-      tel->policy_decision(c.tid(), sim::PolicyDecision::kSkip);
-    }
-    for (int attempt = 0; elide; ++attempt) {
-      try {
-        c.xbegin();
-        // A single transactional begin subscribes every lock in the set —
-        // this is the entire point of lockset elision: one XBEGIN replaces
-        // N atomic lock acquisitions.
-        for (SpinLock* l : locks) {
-          if (l->word().load(c) != 0) c.xabort(kAbortCodeLockBusy);
-        }
-        f();
-        c.xend();
-        stats_.elided_commits++;
-        brain.on_commit(site);
-        if (report) tel->section_commit(c.tid());
-        return;
-      } catch (const sim::TxAbort& a) {
-        stats_.aborts++;
-        const TxDecision d = brain.on_abort(site, c.tid(), a, attempt);
-        if (report) tel->policy_decision(c.tid(), classify(d));
-        switch (d.action) {
-          case TxDecision::Action::kWaitForLock: {
-            Context::LockWaitScope wait(c);
-            for (SpinLock* l : locks) {
-              while (l->word().load(c) != 0) c.compute(80);
-            }
-            break;
-          }
-          case TxDecision::Action::kBackoff:
-            c.tx_backoff(d.backoff);
-            break;
-          case TxDecision::Action::kNone:
-            break;
-        }
-        if (!d.retry) break;
-      }
-    }
-    // Fallback: acquire all locks in canonical order. Deduplicate first —
-    // a batched lockset (e.g. dynamic coarsening over constraints sharing
-    // an object) may name the same lock twice, and acquiring a lock twice
-    // would self-deadlock.
-    stats_.fallback_acquires++;
-    if (elide) brain.on_fallback(site, c.tid());
-    std::sort(locks.begin(), locks.end(),
-              [](const SpinLock* a, const SpinLock* b) {
-                return a->word().addr() < b->word().addr();
-              });
-    locks.erase(std::unique(locks.begin(), locks.end()), locks.end());
-    for (SpinLock* l : locks) l->acquire(c);
-    const Cycles t_acq = tel ? c.now() : 0;
-    {
-      Context::FallbackScope serialized(c);
-      f();
-    }
-    const Cycles t_rel = tel ? c.now() : 0;
-    for (auto it = locks.rbegin(); it != locks.rend(); ++it) {
-      (*it)->release(c);
-    }
-    if (report) tel->section_fallback(c.tid(), t_acq, t_rel);
   }
 
   ElisionPolicy policy_;

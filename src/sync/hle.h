@@ -11,21 +11,20 @@
 // acquired for real. That fixed policy is exactly why the paper's library
 // uses the more flexible RTM interface (Section 3).
 //
-// Accordingly this lock is NOT a TxPolicy consumer: the hardwired
-// try-once-then-acquire below models hardware behaviour, so --policy= has no
-// effect on it (policy.h only supplies the shared abort-classification
-// helpers and the lock-busy code).
+// Accordingly this lock does NOT run through run_elided() and is not a
+// TxPolicy consumer: the hardwired try-once-then-acquire below models
+// hardware behaviour, so --policy= has no effect on it. It shares only the
+// flat-nesting path and the timed fallback slice with the RTM primitives.
 #pragma once
 
 #include "sim/context.h"
+#include "sync/elision.h"
 #include "sync/locks.h"
-#include "sync/policy.h"
 
 namespace tsxhpc::sync {
 
 class HleLock {
  public:
-  HleLock() = default;
   explicit HleLock(Machine& m) : lock_(m) {}
 
   /// Execute `f` as an XACQUIRE/XRELEASE critical section. Same abort
@@ -33,11 +32,7 @@ class HleLock {
   template <typename F>
   void critical(Context& c, F&& f) {
     if (c.in_txn()) {
-      // Nested inside another transactional region: flat nesting.
-      c.xbegin();
-      if (lock_.word().load(c) != 0) c.xabort(kAbortCodeLockBusy);
-      f();
-      c.xend();
+      run_flat_nested(c, lock_.word(), f);
       return;
     }
     sim::Telemetry* tel = c.machine().telemetry();
@@ -70,14 +65,10 @@ class HleLock {
     }
     acquired_++;
     lock_.acquire(c);
-    const Cycles t_acq = tel ? c.now() : 0;
-    {
-      Context::FallbackScope serialized(c);
-      f();
-    }
-    const Cycles t_rel = tel ? c.now() : 0;
+    FallbackSlice slice(c, tel);
+    slice.run(f);
     lock_.release(c);
-    if (tel) tel->section_fallback(c.tid(), t_acq, t_rel);
+    slice.close();
   }
 
   SpinLock& underlying() { return lock_; }

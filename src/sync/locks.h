@@ -63,7 +63,6 @@ class SpinLock {
 
   /// Lock-word handle, used by elision to subscribe to the lock.
   sim::Shared<std::uint32_t> word() const { return word_; }
-  bool held_now(Machine& m) const { return word_.peek(m) != 0; }
 
  private:
   sim::Shared<std::uint32_t> word_;

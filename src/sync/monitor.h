@@ -18,9 +18,18 @@
 // writes (check the predicate first). This mirrors the paper's §6.1 "commit
 // partial results when it finds the need to wait": with a read-only prefix,
 // the early commit publishes nothing and cannot be half-applied.
+//
+// The mutex schemes run the body under the FutexMutex. The TSX schemes run
+// it through run_elided() (sync/elision.h) like every elided primitive; the
+// monitor's Section adds only the condition-variable abort it retries by
+// its own rule, the early commit of a wait, and a fallback that closes its
+// telemetry slice before releasing the mutex. Deferred signals are flushed
+// after the section commits; a wait sleeps after it and restarts the body.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/context.h"
@@ -38,11 +47,6 @@ enum class MonitorScheme {
 };
 
 const char* to_string(MonitorScheme s);
-
-inline bool scheme_uses_tsx(MonitorScheme s) {
-  return s == MonitorScheme::kTsxAbort || s == MonitorScheme::kTsxCond ||
-         s == MonitorScheme::kTsxBusyWait;
-}
 
 /// Condition variable: a futex sequence word.
 class CondVar {
@@ -105,167 +109,116 @@ class MonitorOps {
 /// A monitor (one internal lock) whose critical sections run under the
 /// configured scheme. All workloads sharing a TxMonitor instance contend on
 /// the same lock, exactly like the single locking module of the PARSEC
-/// user-level TCP/IP stack.
+/// user-level TCP/IP stack. The TSX schemes elide through run_elided().
 class TxMonitor {
  public:
-  TxMonitor() = default;
-  TxMonitor(Machine& m, MonitorScheme scheme, ElisionPolicy policy = {},
-            Cycles busy_wait_spin = 400)
+  TxMonitor(Machine& m, MonitorScheme scheme, ElisionPolicy policy = {})
       : scheme_(scheme),
-        policy_(policy),
-        busy_wait_spin_(busy_wait_spin),
         mutex_(m),
         brain_(make_tx_policy(m.config().tx_policy, policy, kTraits)) {}
 
-  MonitorScheme scheme() const { return scheme_; }
   const ElisionStats& stats() const { return stats_; }
 
   template <typename F>
   void enter(Context& c, F&& body) {
     for (;;) {  // wait-restart loop
+      Section<std::remove_reference_t<F>> s{{&mutex_}, *this, body};
       if (scheme_ == MonitorScheme::kMutex ||
           scheme_ == MonitorScheme::kMutexBusyWait) {
-        if (run_locked(c, body)) return;
-        continue;
+        mutex_.acquire(c);
+        s.run(c, /*transactional=*/false);
+        mutex_.release(c);
+      } else {
+        run_elided(c, *brain_, stats_, sim::LockKind::kMonitor, s);
       }
-      if (run_transactional(c, body)) return;
+      if (!s.waited) {
+        flush_signals(c, s.pending);
+        return;
+      }
+      do_wait(c, s.token);
     }
   }
 
  private:
   friend class MonitorOps;
 
-  // The monitor predates the adaptive skip and the per-section capacity
-  // break (its wait-restart loop would make consecutive-section counting
-  // meaningless); the paper policy preserves that.
+  // Neither the adaptive skip nor the per-section capacity break: the
+  // wait-restart loop would make consecutive-section counting meaningless.
   static constexpr TxSiteTraits kTraits{/*adaptive=*/false,
                                         /*capacity_break=*/false};
+  /// Delay of one busy-wait "wait" (Listing 6).
+  static constexpr Cycles kBusyWaitSpin = 400;
 
-  TxPolicy& brain(Context& c) {
-    if (!brain_) {
-      brain_ = make_tx_policy(c.machine().config().tx_policy, policy_,
-                              kTraits);
-    }
-    return *brain_;
-  }
-
-  /// One attempt under the real lock. Returns true when the body completed
-  /// (false: it waited and must restart). `fallback` marks attempts that
-  /// serialize after failed elision, for cycle accounting (and closes the
-  /// open telemetry section as a fallback slice).
+  /// One pass of a monitor body, as run_elided's Section. A pass ends in a
+  /// commit (transactional or under the mutex) or in a wait; `pending` holds
+  /// the deferred signals of the last body that ran to its end, which is the
+  /// one that committed.
   template <typename F>
-  bool run_locked(Context& c, F& body, bool fallback = false) {
-    sim::Telemetry* tel = fallback ? c.machine().telemetry() : nullptr;
-    mutex_.acquire(c);
-    const Cycles t_acq = tel ? c.now() : 0;
-    try {
-      MonitorOps ops(*this, c, /*transactional=*/false);
-      if (fallback) {
-        Context::FallbackScope serialized(c);
-        body(ops);
-      } else {
-        body(ops);
-      }
-      if (tel) tel->section_fallback(c.tid(), t_acq, c.now());
-      mutex_.release(c);
-      return true;
-    } catch (const detail::WaitToken& w) {
-      if (tel) tel->section_fallback(c.tid(), t_acq, c.now());
-      mutex_.release(c);
-      do_wait(c, w);
-      return false;
-    }
-  }
+  struct Section {
+    std::array<FutexMutex*, 1> locks;
+    TxMonitor& mon;
+    F& body;
+    std::vector<MonitorOps::PendingSignal> pending = {};
+    bool waited = false;
+    detail::WaitToken token = {};
 
-  /// Elision attempt loop, then lock fallback. Returns true when the body
-  /// completed, false when it waited (restart required).
-  template <typename F>
-  bool run_transactional(Context& c, F& body) {
-    TxPolicy& brain = this->brain(c);
-    const sim::Addr site = mutex_.word().addr();
-    sim::Telemetry* tel = c.machine().telemetry();
-    if (tel) tel->section_enter(c.tid(), site, sim::LockKind::kMonitor);
-    if (!brain.should_attempt(site, c.tid())) {
-      if (tel) tel->policy_decision(c.tid(), sim::PolicyDecision::kSkip);
-      stats_.fallback_acquires++;
-      return run_locked(c, body, /*fallback=*/true);
-    }
-    for (int attempt = 0;; ++attempt) {
+    /// Run the body once; false when it waited. Each run owns its
+    /// MonitorOps, so an aborted attempt's deferred signals die with it.
+    bool run(Context& c, bool transactional) {
+      MonitorOps ops(mon, c, transactional);
       try {
-        c.xbegin();
-        if (mutex_.word().load(c) != 0) c.xabort(kAbortCodeLockBusy);
-        MonitorOps ops(*this, c, /*transactional=*/true);
         body(ops);
-        c.xend();
-        stats_.elided_commits++;
-        brain.on_commit(site);
-        if (tel) tel->section_commit(c.tid());
-        flush_signals(c, ops);
-        return true;
       } catch (const detail::WaitToken& w) {
-        // kTsxCond / kTsxBusyWait: wait() committed the (read-only) prefix
-        // before throwing; we are no longer transactional.
-        stats_.elided_commits++;
-        brain.on_commit(site);
-        if (tel) tel->section_commit(c.tid());
-        do_wait(c, w);
+        waited = true;
+        token = w;
         return false;
-      } catch (const sim::TxAbort& a) {
-        // Deferred signals die with the aborted attempt: each attempt owns
-        // its MonitorOps instance, so nothing to clean up here.
-        stats_.aborts++;
-        TxDecision d;
-        if (a.cause == sim::AbortCause::kExplicit &&
-            a.code == kAbortCodeCondVar) {
-          // kTsxAbort uses the paper's *generic* Section 3 retry policy:
-          // the fallback handler counts failed attempts without decoding
-          // the abort reason, so a condition-variable abort is retried
-          // like any other — re-executing the whole section and aborting
-          // again, up to the attempt budget. This wasted work is precisely
-          // why tsx.abort "drops drastically on netferret" (Section 6.2).
-          // Monitor semantics, not retry policy: decided here, but it still
-          // burns an attempt and is recorded as a decision so the per-site
-          // counts keep reconciling with tx_aborts.
-          d = TxDecision::Retry(attempt + 1 < brain.max_attempts());
-        } else {
-          d = brain.on_abort(site, c.tid(), a, attempt);
-        }
-        if (tel) tel->policy_decision(c.tid(), classify(d));
-        switch (d.action) {
-          case TxDecision::Action::kWaitForLock: {
-            Context::LockWaitScope wait(c);
-            while (mutex_.word().load(c) != 0) c.compute(80);
-            break;
-          }
-          case TxDecision::Action::kBackoff:
-            c.tx_backoff(d.backoff);
-            break;
-          case TxDecision::Action::kNone:
-            break;
-        }
-        if (!d.retry) break;
       }
+      pending = std::move(ops.pending_);
+      return true;
     }
-    stats_.fallback_acquires++;
-    brain.on_fallback(site, c.tid());
-    return run_locked(c, body, /*fallback=*/true);
-  }
+
+    // kTsxCond / kTsxBusyWait: wait() commits the (read-only) prefix itself
+    // before throwing its WaitToken.
+    bool run_tx(Context& c) { return run(c, /*transactional=*/true); }
+
+    // kTsxAbort uses the paper's *generic* Section 3 retry policy: the
+    // fallback handler counts failed attempts without decoding the abort
+    // reason, so a condition-variable abort is retried like any other —
+    // re-executing the whole section and aborting again, up to the attempt
+    // budget. This wasted work is precisely why tsx.abort "drops
+    // drastically on netferret" (Section 6.2). It is monitor semantics, not
+    // retry policy, but it still burns an attempt and is recorded as a
+    // decision so the per-site counts keep reconciling with tx_aborts.
+    static bool own_retry(const sim::TxAbort& a) {
+      return a.cause == sim::AbortCause::kExplicit &&
+             a.code == kAbortCodeCondVar;
+    }
+
+    // The slice closes before the release (the body may also end in a
+    // wait, which then sleeps after the release).
+    void fallback(Context& c, sim::Telemetry* tel) {
+      mon.mutex_.acquire(c);
+      FallbackSlice slice(c, tel);
+      slice.run([&] { run(c, /*transactional=*/false); });
+      slice.close();
+      mon.mutex_.release(c);
+    }
+  };
 
   void do_wait(Context& c, const detail::WaitToken& w) {
     Context::LockWaitScope wait(c);
     if (scheme_ == MonitorScheme::kMutexBusyWait ||
         scheme_ == MonitorScheme::kTsxBusyWait) {
-      c.compute(busy_wait_spin_);
+      c.compute(kBusyWaitSpin);
     } else {
       c.futex_wait(w.seq_addr, w.captured_seq);
     }
   }
 
-  void flush_signals(Context& c, MonitorOps& ops);
+  void flush_signals(Context& c,
+                     const std::vector<MonitorOps::PendingSignal>& pending);
 
-  MonitorScheme scheme_ = MonitorScheme::kMutex;
-  ElisionPolicy policy_;
-  Cycles busy_wait_spin_ = 400;
+  MonitorScheme scheme_;
   FutexMutex mutex_;
   ElisionStats stats_;
   std::shared_ptr<TxPolicy> brain_;
@@ -304,13 +257,13 @@ inline void MonitorOps::wait(CondVar& cv) {
   throw sim::SimError("unreachable: unknown monitor scheme");
 }
 
-inline void TxMonitor::flush_signals(Context& c, MonitorOps& ops) {
-  for (const MonitorOps::PendingSignal& s : ops.pending_) {
+inline void TxMonitor::flush_signals(
+    Context& c, const std::vector<MonitorOps::PendingSignal>& pending) {
+  for (const MonitorOps::PendingSignal& s : pending) {
     // Bump the sequence and wake; both outside any transaction.
     c.fetch_add(s.seq_addr, 1, 4);
     c.futex_wake(s.seq_addr, s.count);
   }
-  ops.pending_.clear();
 }
 
 inline void MonitorOps::queue_signal(CondVar& cv, int count) {

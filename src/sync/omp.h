@@ -47,7 +47,6 @@ class Lock {
 /// through that one path — it has no retry loop of its own.
 class Critical {
  public:
-  Critical() = default;
   explicit Critical(Machine& m, bool elide = false,
                     sync::ElisionPolicy policy = {})
       : elide_(elide), lock_(m, policy) {}

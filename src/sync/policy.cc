@@ -15,13 +15,11 @@ using sim::Cycles;
 using sim::ThreadId;
 using sim::TxAbort;
 
-/// The paper's Section 3 fallback handler. Every branch below reproduces the
-/// pre-seam inline loops exactly (the committed baselines hold the telemetry
-/// byte-identical): lock-busy waits for the word to clear when
+/// The paper's Section 3 fallback handler (the committed baselines hold its
+/// telemetry byte-identical): lock-busy waits for the word to clear when
 /// spin_until_free, a cleared retry hint ends the section, everything else
 /// backs off conflict_backoff cycles — and the wait/backoff happens even when
-/// this was the last attempt, because the old loop ran handle_abort before
-/// noticing the budget was spent.
+/// this was the last attempt: the handler runs before the budget check.
 class PaperPolicy : public TxPolicy {
  public:
   PaperPolicy(const ElisionPolicy& knobs, TxSiteTraits traits)

@@ -1,21 +1,21 @@
 // TxPolicy — the pluggable retry/backoff/fallback brain behind every elided
 // primitive (the paper's Section 3 software fallback handler, made a seam).
 //
-// Before this layer, the attempt loop of ElidedLock, ElidedLockSet, TxMonitor
-// and (through delegation) omp::Critical each hard-coded the same decisions
-// with copy-paste drift. Now the *decision* lives here and the *execution*
-// stays in the primitive: a policy answers "should this section elide at all"
-// (adaptive skip) and "after this abort, what next" (retry / backoff-then-
-// retry / wait-for-lock-then-retry / fall back); the primitive performs the
-// chosen spin or backoff so cycle accounting and lock-word traffic stay
-// exactly where they always were. hle.h is deliberately NOT a consumer: its
-// 2-attempt policy is hardware behaviour, not software (Section 2).
+// Contract: the policy *decides* and the elided-section loop (run_elided in
+// sync/elision.h, the only caller of the TxPolicy hooks) *executes*. A
+// policy answers "should this section elide at all" (adaptive skip) and
+// "after this abort, what next" (retry / backoff-then-retry / wait-for-lock-
+// then-retry / fall back); the loop performs the chosen spin on the
+// section's own lock words or charges the backoff to its Context, so cycle
+// accounting and lock-word traffic stay with the primitive. hle.h is
+// deliberately NOT a consumer: its 2-attempt policy is hardware behaviour,
+// not software (Section 2).
 //
 // Four concrete policies ship (selected by MachineConfig::tx_policy, i.e.
 // the benches' --policy= flag):
 //
-//   paper         the Section 3 handler, bit-for-bit the pre-seam behaviour
-//                 (the default; the committed baselines pin it)
+//   paper         the Section 3 handler (the default; the committed
+//                 baselines pin it)
 //   no-hint       ignores the abort-status retry hint: every non-lock-busy
 //                 abort is retried with backoff until the budget runs out
 //   expo-backoff  paper's decisions, but the conflict backoff doubles per
@@ -83,9 +83,8 @@ struct ElisionPolicy {
   int adaptive_trigger = 4;
 };
 
-/// What a primitive should do after one aborted attempt. The policy decides;
-/// the primitive executes (it owns the lock words to spin on and the Context
-/// to charge backoff against).
+/// What to do after one aborted attempt. The policy decides; run_elided
+/// executes it on the section's lock words and Context.
 ///
 /// `retry` is carried separately from the action because the paper's handler
 /// performs the lock-busy wait / conflict backoff even after the FINAL
@@ -133,19 +132,20 @@ inline sim::PolicyDecision classify(const TxDecision& d) {
   return sim::PolicyDecision::kRetry;
 }
 
-/// Per-primitive semantics the `paper` (and `expo-backoff`) policy must
-/// respect to stay bit-for-bit with the pre-seam code: only single-lock
-/// elision (ElidedLock, omp::Critical) ran the adaptive skip and the
-/// two-strikes-per-section capacity break; lockset elision and the monitor
-/// did neither. `adaptive-site` deliberately ignores `adaptive` and skips on
-/// every site kind; `no-hint` ignores both (it never decodes the cause).
+/// Per-primitive semantics the `paper` (and `expo-backoff`) policy
+/// respects: single-lock elision (ElidedLock, omp::Critical) runs the
+/// adaptive skip and the two-strikes-per-section capacity break; lockset
+/// elision and the monitor run neither. `adaptive-site` deliberately
+/// ignores `adaptive` and skips on every site kind; `no-hint` ignores both
+/// (it never decodes the cause).
 struct TxSiteTraits {
   bool adaptive = false;        // should_attempt may decline (elision holiday)
   bool capacity_break = false;  // 2 capacity-class aborts end the section
 };
 
-/// The decision interface. One instance per primitive (primitives construct
-/// their brain from MachineConfig::tx_policy via make_tx_policy), holding
+/// The decision interface, called only by run_elided. One instance per
+/// primitive (primitives construct their brain from MachineConfig::tx_policy
+/// via make_tx_policy), holding
 /// per-site adaptive state and per-(site,thread) section state — sections on
 /// the same site run concurrently on different threads, so section-scoped
 /// counters must be keyed by thread. All state is host-side plain data: the
@@ -156,10 +156,10 @@ class TxPolicy {
 
   virtual const char* name() const = 0;
 
-  /// Transactional attempt budget per section. Primitives that retry some
-  /// aborts *without* consulting on_abort (TxMonitor's condition-variable
-  /// aborts are monitor semantics, not retry policy) still burn attempts
-  /// against this budget.
+  /// Transactional attempt budget per section. Aborts a primitive retries
+  /// by its own rule, without consulting on_abort (TxMonitor's
+  /// condition-variable aborts are monitor semantics, not retry policy),
+  /// still burn attempts against this budget.
   virtual int max_attempts() const = 0;
 
   /// Section entry. Resets per-(site,thread) section state; returning false
@@ -182,9 +182,10 @@ class TxPolicy {
 };
 
 /// Build the brain selected by `kind` over the given knobs and site traits.
-/// Returned shared so copyable primitives (ElidedLockSet lives by value in
-/// workload structs) share their adaptive state across copies made after
-/// first use.
+/// Returned shared so copies of a primitive share their adaptive state from
+/// the moment its brain is bound: at construction for ElidedLock and
+/// TxMonitor, at the first section for ElidedLockSet (which lives by value
+/// in workload structs and has no Machine before then).
 std::shared_ptr<TxPolicy> make_tx_policy(sim::TxPolicyKind kind,
                                          const ElisionPolicy& knobs,
                                          TxSiteTraits traits);

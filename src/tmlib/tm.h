@@ -35,10 +35,9 @@ namespace tsxhpc::tmlib {
 /// Shared, per-run TM state (one instance per Machine/workload run).
 class TmRuntime {
  public:
-  TmRuntime(Machine& m, Backend backend,
-            sync::ElisionPolicy policy = {})
+  TmRuntime(Machine& m, Backend backend)
       : backend_(backend),
-        global_lock_(m, policy),
+        global_lock_(m),
         tl2_space_(m),
         machine_(&m),
         cc_(make_cc_backend(m, backend, global_lock_, tl2_space_)) {}

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "sim/invariants.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
+#include "sim/telemetry.h"
 #include "sync/elision.h"
+#include "sync/monitor.h"
 #include "sync/policy.h"
 
 namespace tsxhpc::sync {
@@ -339,6 +343,88 @@ TEST(PolicySeam, PoliciesProduceDistinctSchedules) {
   // adaptive-site's holidays convert retries into immediate acquisitions.
   EXPECT_GT(adaptive.fallbacks, paper.fallbacks);
 }
+
+// ---------------------------------------------------------------------------
+// The skip branch of the elided-section loop, on every primitive that runs
+// through it: under adaptive-site each fallback puts the site on a holiday,
+// so the sections after an oversized one skip elision, and the per-site
+// decision counts still reconcile.
+
+enum class Primitive { kLock, kLockset, kMonitor };
+
+struct PrimitiveCase {
+  Primitive primitive;
+  sim::LockKind kind;  // how telemetry files the primitive's site
+  const char* name;
+};
+
+void PrintTo(const PrimitiveCase& p, std::ostream* os) { *os << p.name; }
+
+class SkipBranch : public ::testing::TestWithParam<PrimitiveCase> {};
+
+TEST_P(SkipBranch, AdaptiveSiteSkipsAndCountsReconcile) {
+  sim::Telemetry tel;
+  MachineConfig mc;
+  mc.telemetry = &tel;
+  mc.tx_policy = TxPolicyKind::kAdaptiveSite;
+  Machine m(mc);
+  ElidedLock lock(m);
+  SpinLock a(m), b(m);
+  ElidedLockSet set;
+  TxMonitor mon(m, MonitorScheme::kTsxCond);
+  auto counter = Shared<std::uint64_t>::alloc(m, 0);
+  const auto& cfg = m.config();
+  const std::size_t lines = cfg.l1_ways + 2;  // one L1 set overflows
+  const std::size_t stride = cfg.l1_sets() * cfg.line_bytes;
+  const sim::Addr big = m.alloc(stride * lines, 64);
+
+  auto section = [&](Context& c, auto&& body) {
+    switch (GetParam().primitive) {
+      case Primitive::kLock:
+        lock.critical(c, body);
+        break;
+      case Primitive::kLockset:
+        set.critical(c, {&a, &b}, body);
+        break;
+      case Primitive::kMonitor:
+        mon.enter(c, [&](MonitorOps&) { body(); });
+        break;
+    }
+  };
+  m.run({.threads = 2, .body = [&](Context& c) {
+    for (int i = 0; i < 24; ++i) {
+      if (i % 6 == 0) {
+        section(c, [&] {
+          for (std::size_t j = 0; j < lines; ++j) c.store(big + j * stride, j);
+        });
+      } else {
+        section(c, [&] { counter.store(c, counter.load(c) + 1); });
+      }
+    }
+  }});
+  EXPECT_EQ(counter.peek(m), 2u * 20u) << "mutual exclusion must hold";
+
+  const sim::LockSiteStats* site = nullptr;
+  for (const auto& [addr, ls] : tel.runs().back().locks) {
+    if (ls.kind == GetParam().kind) site = &ls;
+  }
+  ASSERT_NE(site, nullptr);
+  EXPECT_GT(site->policy_decisions[static_cast<std::size_t>(
+                sim::PolicyDecision::kSkip)],
+            0u);
+  EXPECT_EQ(sim::to_string(sim::check_invariants(tel)), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPrimitive, SkipBranch,
+    ::testing::Values(
+        PrimitiveCase{Primitive::kLock, sim::LockKind::kElided, "elided_lock"},
+        PrimitiveCase{Primitive::kLockset, sim::LockKind::kLockset, "lockset"},
+        PrimitiveCase{Primitive::kMonitor, sim::LockKind::kMonitor,
+                      "monitor_tsx_cond"}),
+    [](const ::testing::TestParamInfo<PrimitiveCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace tsxhpc::sync
