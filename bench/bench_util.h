@@ -14,7 +14,7 @@
 
 #include "bench/args.h"
 #include "sim/config.h"
-#include "sim/json_parse.h"
+#include "sim/invariants.h"
 #include "sim/machine.h"
 #include "sim/report.h"
 #include "sim/telemetry.h"
@@ -231,16 +231,14 @@ class BenchIo {
   int finish() {
     int rc = 0;
     if (telemetry_ && report_) {
-      // Serialize and re-parse so the inline summary goes through the exact
+      // Serialize and re-load so the inline summary goes through the exact
       // code path tsx_report uses on the artifact file.
       std::string err;
-      const sim::JsonValue doc =
-          sim::JsonParser::parse(telemetry_->json(bench_name_), &err);
-      if (err.empty()) {
+      sim::JsonValue doc;
+      if (sim::load_artifact(telemetry_->json(bench_name_), doc, &err)) {
         std::fputs(sim::render_report(doc).c_str(), stdout);
       } else {
-        std::fprintf(stderr, "telemetry: --report parse error: %s\n",
-                     err.c_str());
+        std::fprintf(stderr, "telemetry: --report: %s\n", err.c_str());
         rc = 1;
       }
     }

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "sim/perf.h"
 #include "stamp/stamp.h"
 
 using namespace tsxhpc;
@@ -91,7 +90,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     t.tx_aborted[size_t(sim::AbortCause::kSyscall)]));
   }
-  std::printf("\n  perf-style counter block:\n%s",
-              sim::perf_report(r.stats).c_str());
   return r.checksum != 0 ? 0 : 2;
 }

@@ -109,8 +109,6 @@ class TmHashMap {
     }
   }
 
-  std::size_t bucket_count() const { return mask_ + 1; }
-
  private:
   Addr bucket_of(std::uint64_t key) const {
     sim::SplitMix64 h(key);

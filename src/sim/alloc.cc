@@ -22,7 +22,6 @@ std::size_t next_pow2(std::size_t v) {
 /// bump-strategy heap is bit-for-bit the historic (and baseline) layout.
 class BumpStrategy final : public AllocStrategy {
  public:
-  AllocStrategyKind kind() const override { return AllocStrategyKind::kBump; }
   Addr place(SharedHeap& heap, const AllocSpec& spec) override {
     return heap.bump_place(spec.bytes, spec.align);
   }
@@ -38,8 +37,6 @@ class BumpStrategy final : public AllocStrategy {
 class SlabStrategy final : public AllocStrategy {
  public:
   explicit SlabStrategy(const AllocGeometry& geom) : geom_(geom) {}
-  AllocStrategyKind kind() const override { return AllocStrategyKind::kSlab; }
-
   Addr place(SharedHeap& heap, const AllocSpec& spec) override {
     std::size_t slot = next_pow2(std::max<std::size_t>(spec.bytes, 16));
     if (slot < spec.align) slot = next_pow2(spec.align);
@@ -112,8 +109,6 @@ class ColorStrategy final : public AllocStrategy {
         pressure_(static_cast<std::size_t>(geom.llc_sets) *
                       std::max(geom.llc_slices, 1),
                   0) {}
-  AllocStrategyKind kind() const override { return AllocStrategyKind::kColor; }
-
   Addr place(SharedHeap& heap, const AllocSpec& spec) override {
     const std::uint32_t sets = geom_.llc_sets;
     const std::uint64_t w = spec.hint == AllocHint::kHot ? 4 : 1;
@@ -235,10 +230,6 @@ class ColorStrategy final : public AllocStrategy {
 class AdversarialStrategy final : public AllocStrategy {
  public:
   explicit AdversarialStrategy(const AllocGeometry& geom) : geom_(geom) {}
-  AllocStrategyKind kind() const override {
-    return AllocStrategyKind::kAdversarial;
-  }
-
   Addr place(SharedHeap& heap, const AllocSpec& spec) override {
     if (spec.align > geom_.line_bytes) {
       return heap.bump_place(spec.bytes, spec.align);

@@ -134,7 +134,6 @@ struct AllocGeometry {
 class AllocStrategy {
  public:
   virtual ~AllocStrategy() = default;
-  virtual AllocStrategyKind kind() const = 0;
   virtual Addr place(SharedHeap& heap, const AllocSpec& spec) = 0;
 };
 

@@ -51,8 +51,6 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  virtual BackendKind kind() const = 0;
-
   /// Run `body(t)` for every t in [0, n). body(t) begins executing only when
   /// control is first transferred to t; control is initially given to
   /// `first`. Returns once every body has finished (i.e. after some worker

@@ -96,8 +96,6 @@ class FiberBackend final : public ExecutionBackend {
   explicit FiberBackend(std::size_t stack_bytes)
       : stack_bytes_(stack_bytes < kMinStack ? kMinStack : stack_bytes) {}
 
-  BackendKind kind() const override { return BackendKind::kFiber; }
-
   void run(int n, const std::function<void(ThreadId)>& body,
            ThreadId first) override {
     body_ = &body;

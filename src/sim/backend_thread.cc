@@ -20,8 +20,6 @@ namespace {
 
 class ThreadBackend final : public ExecutionBackend {
  public:
-  BackendKind kind() const override { return BackendKind::kThread; }
-
   void run(int n, const std::function<void(ThreadId)>& body,
            ThreadId first) override {
     cvs_ = std::vector<std::condition_variable>(n);

@@ -310,7 +310,6 @@ struct MachineConfig {
                           : (j / smt_per_core) % cps;
     return s * cps + local;
   }
-  int socket_of_thread(ThreadId t) const { return socket_of_core(core_of(t)); }
 
   std::uint32_t l1_sets() const { return l1_bytes / (l1_ways * line_bytes); }
   std::uint32_t llc_sets() const {

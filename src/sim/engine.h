@@ -56,15 +56,11 @@ class Engine {
   void wake(ThreadId t, Cycles waker_clock);
 
   Cycles clock(ThreadId t) const { return clocks_[t]; }
-  void add_clock(ThreadId t, Cycles c) { clocks_[t] += c; }
   bool is_blocked(ThreadId t) const { return states_[t] == State::kBlocked; }
   int num_threads() const { return static_cast<int>(clocks_.size()); }
 
   /// Thread currently holding the token, or -1 if none.
   ThreadId current() const { return current_; }
-
-  /// Execution mechanism in use (fiber or thread).
-  BackendKind backend_kind() const { return backend_->kind(); }
 
   /// Makespan of the last run(): max end clock over all threads.
   Cycles makespan() const { return makespan_; }

@@ -45,11 +45,6 @@ class FutexTable {
   /// Drop all waiters (run teardown after an error).
   void clear() { waiters_.clear(); }
 
-  std::size_t waiting_on(Addr addr) const {
-    auto it = waiters_.find(addr);
-    return it == waiters_.end() ? 0 : it->second.size();
-  }
-
  private:
   std::unordered_map<Addr, std::deque<ThreadId>> waiters_;
   Telemetry* tel_ = nullptr;

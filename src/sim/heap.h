@@ -43,10 +43,6 @@ class SharedHeap {
   void set_strategy(std::unique_ptr<AllocStrategy> strategy) {
     strategy_ = std::move(strategy);
   }
-  AllocStrategyKind strategy_kind() const {
-    return strategy_ ? strategy_->kind() : AllocStrategyKind::kBump;
-  }
-
   /// The unified allocation entry point. A named spec is placed by the
   /// attached strategy and registered for telemetry attribution; an
   /// anonymous spec is bump-placed. align 0 falls back to 8 (the historic
@@ -73,12 +69,6 @@ class SharedHeap {
   Addr allocate(std::size_t bytes, std::size_t align = 8) {
     return allocate(AllocSpec{{}, bytes, align, AllocHint::kAuto});
   }
-
-  /// Allocate starting on a fresh cache line (avoids false sharing).
-  Addr allocate_lines(std::size_t bytes) {
-    return allocate(bytes, line_bytes_);
-  }
-
 
   /// A named allocation registered via a named allocate(AllocSpec).
   struct Region {
@@ -169,7 +159,6 @@ class SharedHeap {
     std::memcpy(mem_.data() + a, src, n);
   }
 
-  Addr bytes_allocated() const { return brk_; }
   std::uint32_t line_bytes() const { return line_bytes_; }
 
  private:

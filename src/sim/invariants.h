@@ -1,10 +1,12 @@
-// The one invariant checker for tsxhpc artifacts. Every reconciliation rule
-// the telemetry counters promise (cycle buckets, cache levels, policy
-// decisions, interval samples, the cc block, set stats, topology) lives in
-// one registry in invariants.cc and runs over a parsed artifact: per run in
-// a telemetry artifact, per cell and run in a sweep grid. A block a run
-// does not carry (no `cc` on hierarchy/topology runs, no `set_stats`
-// without --set-stats) makes its rules not applicable, not failures.
+// The one invariant checker and the one loader for tsxhpc artifacts. Every
+// reconciliation rule the telemetry counters promise (cycle buckets, cache
+// levels, policy decisions, interval samples, the cc block, set stats,
+// topology) lives in one registry in invariants.cc and runs over a parsed
+// artifact: per run in a telemetry artifact, per cell and run in a sweep
+// grid. The registry reads through the strict lookups of sim/json_parse.h,
+// so the keys it reads are the schema: only `cc` (TM runs) and `set_stats`
+// (--set-stats runs) may be absent, and any other missing or mistyped
+// field is a JsonError naming its path.
 //
 // tsx_report's default mode prints the findings and exits 1 on any, and
 // ctest runs it on every committed baseline and every bench's --quick
@@ -13,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/json_parse.h"
@@ -36,15 +39,23 @@ struct Finding {
 };
 
 /// Check one run object; `cell` names the sweep cell it came from, if any.
+/// Throws JsonError on a missing or mistyped field.
 std::vector<Finding> check_run(const JsonValue& run,
                                const std::string& cell = {});
 
 /// Check every run of a telemetry artifact or every cell of a sweep grid.
+/// Throws JsonError unless each telemetry is of kTelemetrySchema.
 std::vector<Finding> check_invariants(const JsonValue& doc);
 
 /// Check an in-process Telemetry through its serialized artifact, the same
 /// bytes --json writes.
 std::vector<Finding> check_invariants(const Telemetry& tel);
+
+/// Parse `text` and run the registry once: the one loader of tsx_report,
+/// tools/sweep and bench --report. False with *error set ("parse error: ..."
+/// or "<path>: <problem>") on a malformed or partial artifact or another
+/// schema version; findings are not load errors.
+bool load_artifact(std::string_view text, JsonValue& doc, std::string* error);
 
 /// Findings one per line (empty when there are none), for test messages.
 std::string to_string(const std::vector<Finding>& findings);

@@ -8,18 +8,28 @@
 // (truncation, bad escapes, duplicate keys, unescaped control bytes,
 // non-UTF-8 bytes) fails with an offset-located error rather than yielding
 // a silently wrong document.
+//
+// Reads are strict too: each lookup names the type it wants, and a missing
+// member, wrong type or out-of-range index throws a JsonError naming the
+// JSON path the parser recorded, e.g. "runs[0].threads: expected array, got
+// string". find() is the only optional lookup.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "sim/types.h"
-
 namespace tsxhpc::sim {
+
+/// A strict lookup failed: "<path>: <problem>".
+struct JsonError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 class JsonValue {
  public:
@@ -27,55 +37,136 @@ class JsonValue {
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
 
-  bool as_bool() const { return type_ == Type::kBool && bool_; }
-  /// Unsigned integer view of a number (0 for non-numbers).
-  std::uint64_t as_u64() const {
-    if (type_ != Type::kNumber) return 0;
-    return std::strtoull(text_.c_str(), nullptr, 10);
+  // Object members: a missing key or a wrong type throws JsonError.
+  std::uint64_t u64(std::string_view key) const {
+    return member(key, Type::kNumber).to_u64([&] { return child(key); });
   }
-  double as_double() const {
-    if (type_ != Type::kNumber) return 0.0;
-    return std::strtod(text_.c_str(), nullptr);
+  double f64(std::string_view key) const {
+    return std::strtod(member(key, Type::kNumber).text_.c_str(), nullptr);
   }
-  const std::string& as_string() const {
-    static const std::string kEmpty;
-    return type_ == Type::kString ? text_ : kEmpty;
+  const std::string& str(std::string_view key) const {
+    return member(key, Type::kString).text_;
   }
-  /// Addresses are serialized as "0x..." strings; parse one back (0 if not).
-  Addr as_addr() const {
-    if (type_ != Type::kString) return 0;
-    return std::strtoull(text_.c_str(), nullptr, 16);
+  bool boolean(std::string_view key) const {
+    return member(key, Type::kBool).bool_;
   }
-
-  const std::vector<JsonValue>& items() const { return arr_; }
-  std::size_t size() const { return arr_.size(); }
-  const JsonValue& at(std::size_t i) const {
-    static const JsonValue kNull;
-    return i < arr_.size() ? arr_[i] : kNull;
+  const JsonValue& obj(std::string_view key) const {
+    return member(key, Type::kObject);
   }
-
-  /// Object member lookup; returns a null value for missing keys so report
-  /// code can read older/newer schema revisions without branching.
-  const JsonValue& operator[](std::string_view key) const {
-    static const JsonValue kNull;
-    for (const auto& [k, v] : obj_) {
-      if (k == key) return v;
+  const JsonValue& arr(std::string_view key) const {
+    return member(key, Type::kArray);
+  }
+  /// The array at `key`, which must hold exactly `n` elements.
+  const JsonValue& arr(std::string_view key, std::size_t n) const {
+    const JsonValue& a = arr(key);
+    if (a.arr_.size() != n) {
+      error(child(key), "expected " + std::to_string(n) + " elements, got " +
+                            std::to_string(a.arr_.size()));
     }
-    return kNull;
+    return a;
   }
-  bool has(std::string_view key) const { return !(*this)[key].is_null(); }
+  /// The array at `key`, every element checked to be an object.
+  const std::vector<JsonValue>& objects(std::string_view key) const {
+    const JsonValue& a = arr(key);
+    for (std::size_t i = 0; i < a.arr_.size(); ++i) a.element(i, Type::kObject);
+    return a.arr_;
+  }
+  /// The one optional lookup: null when `key` is absent. A present member
+  /// is then read through the typed lookups above.
+  const JsonValue* find(std::string_view key) const {
+    expect(Type::kObject, path_);
+    for (const auto& [k, v] : obj_) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
+    expect(Type::kObject, path_);
     return obj_;
+  }
+
+  // Array elements: an index out of range or a wrong type throws JsonError.
+  std::size_t size() const {
+    expect(Type::kArray, path_);
+    return arr_.size();
+  }
+  std::uint64_t u64(std::size_t i) const {
+    return element(i, Type::kNumber).to_u64([&] { return child(i); });
+  }
+  const std::string& str(std::size_t i) const {
+    return element(i, Type::kString).text_;
+  }
+  const JsonValue& obj(std::size_t i) const {
+    return element(i, Type::kObject);
+  }
+
+  /// Throw a JsonError about member `key` of this object.
+  [[noreturn]] void fail(std::string_view key,
+                         const std::string& problem) const {
+    error(child(key), problem);
   }
 
  private:
   friend class JsonParser;
+
+  static const char* name(Type t) {
+    constexpr const char* kNames[] = {"null",   "boolean", "number",
+                                      "string", "array",   "object"};
+    return kNames[static_cast<int>(t)];
+  }
+  [[noreturn]] static void error(const std::string& path,
+                                 const std::string& problem) {
+    throw JsonError((path.empty() ? "(root)" : path) + ": " + problem);
+  }
+  std::string child(std::string_view key) const {
+    return path_.empty() ? std::string(key) : path_ + "." + std::string(key);
+  }
+  std::string child(std::size_t i) const {
+    return path_ + "[" + std::to_string(i) + "]";
+  }
+
+  void expect(Type want, const std::string& path) const {
+    if (type_ != want) {
+      error(path,
+            std::string("expected ") + name(want) + ", got " + name(type_));
+    }
+  }
+  const JsonValue& member(std::string_view key, Type want) const {
+    expect(Type::kObject, path_);
+    for (const auto& [k, v] : obj_) {
+      if (k != key) continue;
+      if (v.type_ != want) v.expect(want, child(key));
+      return v;
+    }
+    error(path_, "missing member '" + std::string(key) + "'");
+  }
+  const JsonValue& element(std::size_t i, Type want) const {
+    expect(Type::kArray, path_);
+    if (i >= arr_.size()) {
+      error(path_, "index " + std::to_string(i) + " out of range (size " +
+                       std::to_string(arr_.size()) + ")");
+    }
+    const JsonValue& v = arr_[i];
+    if (v.type_ != want) v.expect(want, child(i));
+    return v;
+  }
+  /// Counters are unsigned integers; a sign, fraction, exponent or
+  /// overflow is a wrong type. `path()` names this number on error.
+  std::uint64_t to_u64(auto path) const {
+    errno = 0;
+    const std::uint64_t n = std::strtoull(text_.c_str(), nullptr, 10);
+    if (text_.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE) {
+      error(path(), "expected unsigned integer, got " + text_);
+    }
+    return n;
+  }
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   std::string text_;  // number (raw) or string (unescaped)
+  std::string path_;  // where a container sits, e.g. "runs[0].threads"
   std::vector<JsonValue> arr_;
   std::vector<std::pair<std::string, JsonValue>> obj_;
 };
@@ -133,11 +224,12 @@ class JsonParser {
     return true;
   }
 
-  JsonValue value() {
+  /// `path` names the value if it is a container (JsonValue::path_).
+  JsonValue value(std::string path = {}) {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return object(std::move(path));
+      case '[': return array(std::move(path));
       case '"': return string_value();
       case 't':
         if (!consume_lit("true")) fail("bad literal");
@@ -159,10 +251,18 @@ class JsonParser {
     return v;
   }
 
-  JsonValue object() {
+  /// Only containers record a path, so scalars cost no string.
+  std::string path_if_container(const JsonValue& parent, auto key_or_index) {
+    skip_ws();
+    const char c = peek();
+    return c == '{' || c == '[' ? parent.child(key_or_index) : std::string();
+  }
+
+  JsonValue object(std::string path) {
     expect('{');
     JsonValue v;
     v.type_ = JsonValue::Type::kObject;
+    v.path_ = std::move(path);
     skip_ws();
     if (peek() == '}') {
       pos_++;
@@ -178,7 +278,8 @@ class JsonParser {
       }
       skip_ws();
       expect(':');
-      v.obj_.emplace_back(std::move(key), value());
+      JsonValue member = value(path_if_container(v, std::string_view(key)));
+      v.obj_.emplace_back(std::move(key), std::move(member));
       skip_ws();
       if (peek() == ',') {
         pos_++;
@@ -189,17 +290,18 @@ class JsonParser {
     }
   }
 
-  JsonValue array() {
+  JsonValue array(std::string path) {
     expect('[');
     JsonValue v;
     v.type_ = JsonValue::Type::kArray;
+    v.path_ = std::move(path);
     skip_ws();
     if (peek() == ']') {
       pos_++;
       return v;
     }
     for (;;) {
-      v.arr_.push_back(value());
+      v.arr_.push_back(value(path_if_container(v, v.arr_.size())));
       skip_ws();
       if (peek() == ',') {
         pos_++;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/invariants.h"
+#include "sim/sweep.h"
 
 namespace tsxhpc::sim {
 
@@ -20,12 +21,26 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+/// Counter `key` of `obj` as printf's %llu takes it.
+unsigned long long llu(const JsonValue& obj, std::string_view key) {
+  return obj.u64(key);
+}
+
+/// The object in `objs` whose `key` member is `label`, or null.
+const JsonValue* find_labeled(const std::vector<JsonValue>& objs,
+                              const char* key, const std::string& label) {
+  for (const JsonValue& o : objs) {
+    if (o.str(key) == label) return &o;
+  }
+  return nullptr;
+}
+
 /// Index of the largest element (ties to the lowest index); -1 if empty.
 int argmax(const JsonValue& arr) {
   int best = -1;
   std::uint64_t best_v = 0;
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    const std::uint64_t v = arr.at(i).as_u64();
+    const std::uint64_t v = arr.u64(i);
     if (best < 0 || v > best_v) {
       best = static_cast<int>(i);
       best_v = v;
@@ -35,9 +50,9 @@ int argmax(const JsonValue& arr) {
 }
 
 void render_abort_tree(std::string& out, const JsonValue& totals) {
-  const std::uint64_t started = totals["tx_started"].as_u64();
-  const std::uint64_t committed = totals["tx_committed"].as_u64();
-  const std::uint64_t aborted = totals["tx_aborted"].as_u64();
+  const std::uint64_t started = totals.u64("tx_started");
+  const std::uint64_t committed = totals.u64("tx_committed");
+  const std::uint64_t aborted = totals.u64("tx_aborted");
   appendf(out, "  transactions: started=%llu\n",
           static_cast<unsigned long long>(started));
   const double of_started = started == 0 ? 0.0 : 100.0 / static_cast<double>(started);
@@ -47,14 +62,14 @@ void render_abort_tree(std::string& out, const JsonValue& totals) {
   appendf(out, "  `- aborted    %12llu  (%5.1f%%)\n",
           static_cast<unsigned long long>(aborted),
           static_cast<double>(aborted) * of_started);
-  const JsonValue& causes = totals["aborts_by_cause"];
+  const JsonValue& causes = totals.obj("aborts_by_cause");
   const auto& members = causes.members();
   std::size_t shown = 0, nonzero = 0;
   for (const auto& [k, v] : members) {
-    if (v.as_u64() != 0) nonzero++;
+    if (causes.u64(k) != 0) nonzero++;
   }
   for (const auto& [k, v] : members) {
-    const std::uint64_t n = v.as_u64();
+    const std::uint64_t n = causes.u64(k);
     if (n == 0) continue;
     shown++;
     const double pct =
@@ -66,56 +81,44 @@ void render_abort_tree(std::string& out, const JsonValue& totals) {
   }
 }
 
-/// Concurrency-control block (v7 artifacts; absent on v6 and earlier).
+/// Concurrency-control block, present on runs a TM runtime reported into.
 /// Region-level counters from the CcBackend seam: attempt chain, abort
 /// classes, and the scheme-specific extras (TicToc rts extensions, MVCC
 /// snapshot/version/GC accounting) — rendered only when nonzero so sgl/tsx
 /// rows stay compact.
 void render_cc(std::string& out, const JsonValue& run) {
-  const JsonValue& cc = run["cc"];
-  if (!cc.is_object()) return;
+  if (!run.find("cc")) return;
+  const JsonValue& cc = run.obj("cc");
   appendf(out,
           "  cc [%s]: starts=%llu commits=%llu aborts=%llu (%.2f%%)\n",
-          cc["scheme"].as_string().c_str(),
-          static_cast<unsigned long long>(cc["starts"].as_u64()),
-          static_cast<unsigned long long>(cc["commits"].as_u64()),
-          static_cast<unsigned long long>(cc["aborts"].as_u64()),
-          cc["abort_rate_pct"].as_double());
-  const JsonValue& cls = cc["aborts_by_class"];
-  if (cls.is_object() && cc["aborts"].as_u64() != 0) {
-    appendf(
-        out,
-        "    abort classes: read-validation=%llu lock-acquire=%llu "
-        "commit-validation=%llu\n",
-        static_cast<unsigned long long>(cls["read_validation"].as_u64()),
-        static_cast<unsigned long long>(cls["lock_acquire"].as_u64()),
-        static_cast<unsigned long long>(cls["commit_validation"].as_u64()));
+          cc.str("scheme").c_str(), llu(cc, "starts"), llu(cc, "commits"),
+          llu(cc, "aborts"), cc.f64("abort_rate_pct"));
+  if (cc.u64("aborts") != 0) {
+    const JsonValue& cls = cc.obj("aborts_by_class");
+    appendf(out,
+            "    abort classes: read-validation=%llu lock-acquire=%llu "
+            "commit-validation=%llu\n",
+            llu(cls, "read_validation"), llu(cls, "lock_acquire"),
+            llu(cls, "commit_validation"));
   }
-  if (cc["read_set_extensions"].as_u64() != 0) {
+  if (cc.u64("read_set_extensions") != 0) {
     appendf(out, "    rts extensions: %llu\n",
-            static_cast<unsigned long long>(
-                cc["read_set_extensions"].as_u64()));
+            llu(cc, "read_set_extensions"));
   }
-  if (cc["snapshot_commits"].as_u64() != 0 ||
-      cc["versions_created"].as_u64() != 0) {
+  if (cc.u64("snapshot_commits") != 0 || cc.u64("versions_created") != 0) {
     appendf(out,
             "    mvcc: snapshot-commits=%llu versions=%llu chain-hops=%llu "
             "depth-max=%llu gc(runs=%llu reclaims=%llu)\n",
-            static_cast<unsigned long long>(cc["snapshot_commits"].as_u64()),
-            static_cast<unsigned long long>(cc["versions_created"].as_u64()),
-            static_cast<unsigned long long>(
-                cc["version_chain_hops"].as_u64()),
-            static_cast<unsigned long long>(
-                cc["version_chain_depth_max"].as_u64()),
-            static_cast<unsigned long long>(cc["gc_runs"].as_u64()),
-            static_cast<unsigned long long>(cc["gc_reclaims"].as_u64()));
+            llu(cc, "snapshot_commits"), llu(cc, "versions_created"),
+            llu(cc, "version_chain_hops"), llu(cc, "version_chain_depth_max"),
+            llu(cc, "gc_runs"), llu(cc, "gc_reclaims"));
   }
 }
 
 void render_conflict_lines(std::string& out, const JsonValue& run,
                            std::size_t top) {
-  const JsonValue& lines = run["conflict_lines"];
-  const std::uint64_t total = run["conflict_lines_total"].as_u64();
+  const JsonValue& lines = run.arr("conflict_lines");
+  const std::uint64_t total = run.u64("conflict_lines_total");
   if (lines.size() == 0) {
     out += "  top conflicting lines: none\n";
     return;
@@ -124,108 +127,90 @@ void render_conflict_lines(std::string& out, const JsonValue& run,
           std::min<std::size_t>(lines.size(), top),
           static_cast<unsigned long long>(total));
   for (std::size_t i = 0; i < lines.size() && i < top; ++i) {
-    const JsonValue& l = lines.at(i);
-    const std::string& object = l["object"].as_string();
-    const int agg = argmax(l["by_aggressor"]);
-    const int vic = argmax(l["by_victim"]);
+    const JsonValue& l = lines.obj(i);
+    const std::string& object = l.str("object");
+    const int agg = argmax(l.arr("by_aggressor"));
+    const int vic = argmax(l.arr("by_victim"));
     char agg_s[16] = "-", vic_s[16] = "-";
     if (agg >= 0) std::snprintf(agg_s, sizeof(agg_s), "t%d", agg);
     if (vic >= 0) std::snprintf(vic_s, sizeof(vic_s), "t%d", vic);
     appendf(out,
             "    %-18s %-20s dooms=%-6llu (w=%llu r=%llu) "
             "top-aggressor=%s top-victim=%s\n",
-            l["line"].as_string().c_str(),
-            object.empty() ? "(unnamed)" : object.c_str(),
-            static_cast<unsigned long long>(l["dooms"].as_u64()),
-            static_cast<unsigned long long>(l["write_dooms"].as_u64()),
-            static_cast<unsigned long long>(l["read_dooms"].as_u64()),
-            agg_s, vic_s);
+            l.str("line").c_str(),
+            object.empty() ? "(unnamed)" : object.c_str(), llu(l, "dooms"),
+            llu(l, "write_dooms"), llu(l, "read_dooms"), agg_s, vic_s);
   }
 }
 
 void render_capacity_lines(std::string& out, const JsonValue& run,
                            std::size_t top) {
-  const JsonValue& lines = run["capacity_lines"];
+  const JsonValue& lines = run.arr("capacity_lines");
   if (lines.size() == 0) return;
   appendf(out, "  capacity-doomed lines (%zu of %llu):\n",
           std::min<std::size_t>(lines.size(), top),
-          static_cast<unsigned long long>(run["capacity_lines_total"].as_u64()));
+          llu(run, "capacity_lines_total"));
   for (std::size_t i = 0; i < lines.size() && i < top; ++i) {
-    const JsonValue& l = lines.at(i);
-    const std::string& object = l["object"].as_string();
+    const JsonValue& l = lines.obj(i);
+    const std::string& object = l.str("object");
     appendf(out, "    %-18s %-20s write-evict=%llu read-evict=%llu\n",
-            l["line"].as_string().c_str(),
+            l.str("line").c_str(),
             object.empty() ? "(unnamed)" : object.c_str(),
-            static_cast<unsigned long long>(l["write_evict_dooms"].as_u64()),
-            static_cast<unsigned long long>(l["read_evict_dooms"].as_u64()));
+            llu(l, "write_evict_dooms"), llu(l, "read_evict_dooms"));
   }
 }
 
-/// Per-level hit/miss/evict table (v3 artifacts; absent on v2 and earlier).
+/// Per-level hit/miss/evict table.
 void render_cache_levels(std::string& out, const JsonValue& run) {
-  const JsonValue& levels = run["cache_levels"];
-  if (levels.size() == 0) return;
   out +=
       "  cache hierarchy (run totals):\n"
       "    level        served        misses     evictions  stall-cycles\n";
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const JsonValue& l = levels.at(i);
+  for (const JsonValue& l : run.objects("cache_levels")) {
     appendf(out, "    %-5s  %12llu  %12llu  %12llu  %12llu\n",
-            l["level"].as_string().c_str(),
-            static_cast<unsigned long long>(l["served"].as_u64()),
-            static_cast<unsigned long long>(l["misses"].as_u64()),
-            static_cast<unsigned long long>(l["evictions"].as_u64()),
-            static_cast<unsigned long long>(l["stall_cycles"].as_u64()));
+            l.str("level").c_str(), llu(l, "served"), llu(l, "misses"),
+            llu(l, "evictions"), llu(l, "stall_cycles"));
   }
 }
 
-/// Topology-resolved view (v6 artifacts). Rendered only for machines with
-/// an actual interconnect (more than one socket or slice) — the default
+/// Topology-resolved view. Rendered only for machines with an actual
+/// interconnect (more than one socket or slice) — the default
 /// 1-socket/1-slice reports read exactly as they always did.
 void render_topology(std::string& out, const JsonValue& run) {
-  const JsonValue& topo = run["topology"];
-  if (!topo.is_object()) return;
-  const std::uint64_t sockets = topo["sockets"].as_u64();
-  const std::uint64_t slices = topo["slices"].as_u64();
+  const JsonValue& topo = run.obj("topology");
+  const std::uint64_t sockets = topo.u64("sockets");
+  const std::uint64_t slices = topo.u64("slices");
   if (sockets <= 1 && slices <= 1) return;
   appendf(out,
           "  topology: %llu socket(s) x %llu cores, %llu LLC slice(s), "
           "map=%s (hop cycles: slice=%llu socket=%llu)\n",
           static_cast<unsigned long long>(sockets),
-          static_cast<unsigned long long>(topo["cores_per_socket"].as_u64()),
-          static_cast<unsigned long long>(slices),
-          topo["map"].as_string().c_str(),
-          static_cast<unsigned long long>(topo["lat_hop_slice"].as_u64()),
-          static_cast<unsigned long long>(topo["lat_hop_socket"].as_u64()));
-  const JsonValue& ss = topo["slice_stats"];
+          llu(topo, "cores_per_socket"),
+          static_cast<unsigned long long>(slices), topo.str("map").c_str(),
+          llu(topo, "lat_hop_slice"), llu(topo, "lat_hop_socket"));
+  const JsonValue& ss = topo.arr("slice_stats");
   for (std::size_t s = 0; s < ss.size(); ++s) {
-    const JsonValue& sl = ss.at(s);
+    const JsonValue& sl = ss.obj(s);
     appendf(out,
             "    slice s%zu: hits=%llu misses=%llu evictions=%llu "
             "xfers=%llu\n",
-            s, static_cast<unsigned long long>(sl["hits"].as_u64()),
-            static_cast<unsigned long long>(sl["misses"].as_u64()),
-            static_cast<unsigned long long>(sl["evictions"].as_u64()),
-            static_cast<unsigned long long>(sl["xfers"].as_u64()));
+            s, llu(sl, "hits"), llu(sl, "misses"), llu(sl, "evictions"),
+            llu(sl, "xfers"));
   }
-  const JsonValue& so = topo["socket_stats"];
+  const JsonValue& so = topo.arr("socket_stats");
   for (std::size_t s = 0; s < so.size(); ++s) {
-    const JsonValue& sk = so.at(s);
+    const JsonValue& sk = so.obj(s);
     appendf(out,
             "    socket %zu: accesses=%llu dram(local=%llu remote=%llu) "
             "hops(slice=%llu socket=%llu)\n",
-            s, static_cast<unsigned long long>(sk["accesses"].as_u64()),
-            static_cast<unsigned long long>(sk["dram_local"].as_u64()),
-            static_cast<unsigned long long>(sk["dram_remote"].as_u64()),
-            static_cast<unsigned long long>(sk["slice_hops"].as_u64()),
-            static_cast<unsigned long long>(sk["socket_hops"].as_u64()));
+            s, llu(sk, "accesses"), llu(sk, "dram_local"),
+            llu(sk, "dram_remote"), llu(sk, "slice_hops"),
+            llu(sk, "socket_hops"));
   }
-  const JsonValue& tot = run["totals"];
-  if (tot["hop_cycles"].as_u64() != 0) {
+  const JsonValue& tot = run.obj("totals");
+  if (tot.u64("hop_cycles") != 0) {
     appendf(out, "    hop cycles: %llu (slice hops=%llu, socket hops=%llu)\n",
-            static_cast<unsigned long long>(tot["hop_cycles"].as_u64()),
-            static_cast<unsigned long long>(tot["slice_hops"].as_u64()),
-            static_cast<unsigned long long>(tot["socket_hops"].as_u64()));
+            llu(tot, "hop_cycles"), llu(tot, "slice_hops"),
+            llu(tot, "socket_hops"));
   }
 }
 
@@ -233,99 +218,75 @@ constexpr const char* kBucketKeys[] = {"work",      "tx_committed", "tx_wasted",
                                        "lock_wait", "fallback",     "mem_stall"};
 
 void render_cycle_table(std::string& out, const JsonValue& run) {
-  const JsonValue& threads = run["threads"];
-  if (threads.size() == 0 || !threads.at(0).has("cycles")) return;
+  const std::vector<JsonValue>& threads = run.objects("threads");
+  if (threads.empty()) return;
   out +=
       "  cycle accounting (cycles per thread):\n"
       "    tid          work  tx_committed     tx_wasted     lock_wait"
       "      fallback     mem_stall         total\n";
-  for (std::size_t t = 0; t < threads.size(); ++t) {
-    const JsonValue& th = threads.at(t);
-    const JsonValue& cy = th["cycles"];
-    appendf(out, "    %3llu",
-            static_cast<unsigned long long>(th["tid"].as_u64()));
+  const auto row = [&out](const JsonValue& cy) {
     for (const char* k : kBucketKeys) {
-      appendf(out, "  %12llu", static_cast<unsigned long long>(cy[k].as_u64()));
+      appendf(out, "  %12llu", llu(cy, k));
     }
-    appendf(out, "  %12llu\n",
-            static_cast<unsigned long long>(cy["total"].as_u64()));
+    appendf(out, "  %12llu\n", llu(cy, "total"));
+  };
+  for (const JsonValue& th : threads) {
+    appendf(out, "    %3llu", llu(th, "tid"));
+    row(th.obj("cycles"));
   }
-  const JsonValue& cy = run["totals"]["cycles"];
   out += "    sum";
-  for (const char* k : kBucketKeys) {
-    appendf(out, "  %12llu", static_cast<unsigned long long>(cy[k].as_u64()));
-  }
-  appendf(out, "  %12llu\n",
-          static_cast<unsigned long long>(cy["total"].as_u64()));
+  row(run.obj("totals").obj("cycles"));
 }
 
 void render_locks(std::string& out, const JsonValue& run) {
-  const JsonValue& locks = run["locks"];
-  if (locks.size() == 0) return;
+  const std::vector<JsonValue>& locks = run.objects("locks");
+  if (locks.empty()) return;
   out += "  lock sites:\n";
-  for (std::size_t i = 0; i < locks.size(); ++i) {
-    const JsonValue& l = locks.at(i);
+  for (const JsonValue& l : locks) {
     appendf(out,
             "    %-14s %-8s acquires=%-6llu elision=%5.1f%% "
             "tx-cycles(committed=%llu wasted=%llu) fallback-hold=%llu "
             "wait=%llu\n",
-            l["site"].as_string().c_str(), l["kind"].as_string().c_str(),
-            static_cast<unsigned long long>(l["acquires"].as_u64()),
-            l["elision_rate_pct"].as_double(),
-            static_cast<unsigned long long>(l["tx_cycles_committed"].as_u64()),
-            static_cast<unsigned long long>(l["tx_cycles_wasted"].as_u64()),
-            static_cast<unsigned long long>(l["fallback_hold_cycles"].as_u64()),
-            static_cast<unsigned long long>(l["wait_cycles"].as_u64()));
-    // TxPolicy decision counts (schema v4+; older artifacts lack the key).
-    // Only render sites the policy actually touched, so plain spin/futex
-    // rows stay one line.
-    const JsonValue& pd = l["policy"];
-    if (pd.is_object()) {
-      std::uint64_t total = 0;
-      for (const char* k :
-           {"retries", "backoffs", "lock_waits", "fallbacks", "skips"}) {
-        total += pd[k].as_u64();
-      }
-      if (total > 0) {
-        appendf(out,
-                "      policy: retries=%llu backoffs=%llu lock-waits=%llu "
-                "fallbacks=%llu skips=%llu\n",
-                static_cast<unsigned long long>(pd["retries"].as_u64()),
-                static_cast<unsigned long long>(pd["backoffs"].as_u64()),
-                static_cast<unsigned long long>(pd["lock_waits"].as_u64()),
-                static_cast<unsigned long long>(pd["fallbacks"].as_u64()),
-                static_cast<unsigned long long>(pd["skips"].as_u64()));
-      }
+            l.str("site").c_str(), l.str("kind").c_str(), llu(l, "acquires"),
+            l.f64("elision_rate_pct"), llu(l, "tx_cycles_committed"),
+            llu(l, "tx_cycles_wasted"), llu(l, "fallback_hold_cycles"),
+            llu(l, "wait_cycles"));
+    // TxPolicy decision counts. Only render sites the policy actually
+    // touched, so plain spin/futex rows stay one line.
+    const JsonValue& pd = l.obj("policy");
+    std::uint64_t total = 0;
+    for (const char* k :
+         {"retries", "backoffs", "lock_waits", "fallbacks", "skips"}) {
+      total += pd.u64(k);
+    }
+    if (total > 0) {
+      appendf(out,
+              "      policy: retries=%llu backoffs=%llu lock-waits=%llu "
+              "fallbacks=%llu skips=%llu\n",
+              llu(pd, "retries"), llu(pd, "backoffs"), llu(pd, "lock_waits"),
+              llu(pd, "fallbacks"), llu(pd, "skips"));
     }
   }
 }
 
 }  // namespace
 
-bool is_telemetry_doc(const JsonValue& doc) {
-  return doc.is_object() && doc["runs"].is_array() &&
-         doc["schema"].as_string().rfind("tsxhpc-telemetry-", 0) == 0;
-}
-
 std::string render_report(const JsonValue& doc, const ReportOptions& opt) {
   std::string out;
+  const std::vector<JsonValue>& runs = doc.objects("runs");
   appendf(out, "tsx_report: bench=%s schema=%s runs=%zu\n",
-          doc["bench"].as_string().c_str(), doc["schema"].as_string().c_str(),
-          doc["runs"].size());
-  const JsonValue& runs = doc["runs"];
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const JsonValue& run = runs.at(i);
-    const JsonValue& totals = run["totals"];
+          doc.str("bench").c_str(), doc.str("schema").c_str(), runs.size());
+  for (const JsonValue& run : runs) {
+    const JsonValue& totals = run.obj("totals");
     appendf(out, "\nrun %s: threads=%llu makespan=%llu%s\n",
-            run["label"].as_string().c_str(),
-            static_cast<unsigned long long>(run["num_threads"].as_u64()),
-            static_cast<unsigned long long>(run["makespan"].as_u64()),
-            run["complete"].as_bool() ? "" : " (incomplete)");
+            run.str("label").c_str(), llu(run, "num_threads"),
+            llu(run, "makespan"),
+            run.boolean("complete") ? "" : " (incomplete)");
     render_abort_tree(out, totals);
     appendf(out, "  abort rate: %.2f%% of started transactions\n",
-            totals["abort_rate_pct"].as_double());
+            totals.f64("abort_rate_pct"));
     appendf(out, "  wasted cycles: %.2f%% of transactional cycles\n",
-            totals["wasted_cycle_pct"].as_double());
+            totals.f64("wasted_cycle_pct"));
     render_cc(out, run);
     render_conflict_lines(out, run, opt.top_lines);
     render_capacity_lines(out, run, opt.top_lines);
@@ -346,20 +307,15 @@ namespace {
 /// diff. A label present on one side only is a label-set mismatch and
 /// counts as a failure — "(skipped)" silently waved through sweeps that
 /// dropped runs. `where` prefixes every line ("" or "cell <label>: ").
-int diff_run_sets(const JsonValue& base_runs, const JsonValue& cur_runs,
+int diff_run_sets(const JsonValue& base_tel, const JsonValue& cur_tel,
                   const DiffThresholds& thr, const std::string& where,
                   std::string& out) {
+  const std::vector<JsonValue>& base_runs = base_tel.objects("runs");
+  const std::vector<JsonValue>& cur_runs = cur_tel.objects("runs");
   int failures = 0;
-  for (std::size_t i = 0; i < cur_runs.size(); ++i) {
-    const JsonValue& c = cur_runs.at(i);
-    const std::string& label = c["label"].as_string();
-    const JsonValue* b = nullptr;
-    for (std::size_t j = 0; j < base_runs.size(); ++j) {
-      if (base_runs.at(j)["label"].as_string() == label) {
-        b = &base_runs.at(j);
-        break;
-      }
-    }
+  for (const JsonValue& c : cur_runs) {
+    const std::string& label = c.str("label");
+    const JsonValue* b = find_labeled(base_runs, "label", label);
     if (!b) {
       appendf(out,
               "%srun %s: MISMATCH — present in current but not in baseline "
@@ -368,12 +324,12 @@ int diff_run_sets(const JsonValue& base_runs, const JsonValue& cur_runs,
       failures++;
       continue;
     }
-    const double abort_b = (*b)["totals"]["abort_rate_pct"].as_double();
-    const double abort_c = c["totals"]["abort_rate_pct"].as_double();
-    const double waste_b = (*b)["totals"]["wasted_cycle_pct"].as_double();
-    const double waste_c = c["totals"]["wasted_cycle_pct"].as_double();
-    const std::uint64_t mk_b = (*b)["makespan"].as_u64();
-    const std::uint64_t mk_c = c["makespan"].as_u64();
+    const double abort_b = b->obj("totals").f64("abort_rate_pct");
+    const double abort_c = c.obj("totals").f64("abort_rate_pct");
+    const double waste_b = b->obj("totals").f64("wasted_cycle_pct");
+    const double waste_c = c.obj("totals").f64("wasted_cycle_pct");
+    const std::uint64_t mk_b = b->u64("makespan");
+    const std::uint64_t mk_c = c.u64("makespan");
     const bool abort_reg = abort_c - abort_b > thr.abort_rate_pp;
     const bool waste_reg = waste_c - waste_b > thr.wasted_cycle_pp;
     appendf(out,
@@ -388,13 +344,9 @@ int diff_run_sets(const JsonValue& base_runs, const JsonValue& cur_runs,
     failures += (abort_reg ? 1 : 0) + (waste_reg ? 1 : 0);
   }
   // The reverse direction: baseline runs the current artifact dropped.
-  for (std::size_t j = 0; j < base_runs.size(); ++j) {
-    const std::string& label = base_runs.at(j)["label"].as_string();
-    bool found = false;
-    for (std::size_t i = 0; i < cur_runs.size() && !found; ++i) {
-      found = cur_runs.at(i)["label"].as_string() == label;
-    }
-    if (!found) {
+  for (const JsonValue& b : base_runs) {
+    const std::string& label = b.str("label");
+    if (!find_labeled(cur_runs, "label", label)) {
       appendf(out,
               "%srun %s: MISMATCH — present in baseline but missing from "
               "current (label-set mismatch is a failure)\n",
@@ -405,42 +357,23 @@ int diff_run_sets(const JsonValue& base_runs, const JsonValue& cur_runs,
   return failures;
 }
 
-/// Comparing artifacts across telemetry schema revisions silently hides (or
-/// invents) fields, so a schema-version mismatch is a loud counted failure
-/// naming both versions — the fix is refreshing the stale side, never a
-/// partial comparison. Used for flat diffs and per-cell embedded telemetry.
-int diff_schemas(const JsonValue& base, const JsonValue& cur,
-                 const std::string& where, std::string& out) {
-  const std::string& sb = base["schema"].as_string();
-  const std::string& sc = cur["schema"].as_string();
-  if (sb == sc) return 0;
-  appendf(out,
-          "%sschema: MISMATCH — baseline is '%s' but current is '%s' "
-          "(cross-schema comparison is a failure; refresh the stale "
-          "artifact)\n",
-          where.c_str(), sb.c_str(), sc.c_str());
-  return 1;
-}
-
 }  // namespace
 
 int render_diff(const JsonValue& base, const JsonValue& cur,
                 const DiffThresholds& thr, std::string& out) {
   appendf(out, "tsx_report diff: base bench=%s, current bench=%s\n",
-          base["bench"].as_string().c_str(),
-          cur["bench"].as_string().c_str());
+          base.str("bench").c_str(), cur.str("bench").c_str());
   appendf(out,
           "thresholds: abort-rate +%.2fpp, wasted-cycles +%.2fpp\n",
           thr.abort_rate_pp, thr.wasted_cycle_pp);
-  int failures = diff_schemas(base, cur, "", out);
-  failures += diff_run_sets(base["runs"], cur["runs"], thr, "", out);
+  const int failures = diff_run_sets(base, cur, thr, "", out);
   appendf(out, "%d failure(s) (regressions, schema or label-set mismatches)\n",
           failures);
   return failures;
 }
 
 // ---------------------------------------------------------------------------
-// Per-set heatmaps (telemetry v5 `set_stats` block)
+// Per-set heatmaps (the `set_stats` block of --set-stats runs)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -455,11 +388,13 @@ char density_glyph(std::uint64_t v, std::uint64_t max) {
   return kRamp[idx];
 }
 
+/// Per-set column `key` of a set_stats level: one value per set, since the
+/// heatmap rows index every column by set.
 std::vector<std::uint64_t> set_column(const JsonValue& level,
                                       const char* key) {
-  const JsonValue& arr = level[key];
+  const JsonValue& arr = level.arr(key, level.u64("sets"));
   std::vector<std::uint64_t> v(arr.size(), 0);
-  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.at(i).as_u64();
+  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.u64(i);
   return v;
 }
 
@@ -500,26 +435,20 @@ bool render_set_heatmaps(const JsonValue& doc, const std::string& level_filter,
                          std::string& out) {
   bool any_block = false;
   bool any_level = false;
-  const JsonValue& runs = doc["runs"];
-  for (std::size_t ri = 0; ri < runs.size(); ++ri) {
-    const JsonValue& run = runs.at(ri);
-    const JsonValue& ss = run["set_stats"];
-    if (!ss.is_object()) continue;
+  for (const JsonValue& run : doc.objects("runs")) {
+    if (!run.find("set_stats")) continue;
+    const JsonValue& ss = run.obj("set_stats");
     any_block = true;
     appendf(out, "\nrun %s: per-set heatmaps (line_bytes=%llu)\n",
-            run["label"].as_string().c_str(),
-            static_cast<unsigned long long>(ss["line_bytes"].as_u64()));
-    const JsonValue& levels = ss["levels"];
-    const JsonValue& objects = ss["objects"];
-    for (std::size_t li = 0; li < levels.size(); ++li) {
-      const JsonValue& lv = levels.at(li);
-      const std::string& name = lv["level"].as_string();
+            run.str("label").c_str(), llu(ss, "line_bytes"));
+    const std::vector<JsonValue>& objects = ss.objects("objects");
+    for (const JsonValue& lv : ss.objects("levels")) {
+      const std::string& name = lv.str("level");
       if (!level_matches(name, level_filter)) continue;
       any_level = true;
-      const std::uint64_t sets = lv["sets"].as_u64();
+      const std::uint64_t sets = lv.u64("sets");
       appendf(out, "  level %s: %llu sets x %llu ways\n", name.c_str(),
-              static_cast<unsigned long long>(sets),
-              static_cast<unsigned long long>(lv["ways"].as_u64()));
+              static_cast<unsigned long long>(sets), llu(lv, "ways"));
       const auto occupancy = set_column(lv, "occupancy");
       const auto evictions = set_column(lv, "evictions");
       const auto back_inv = set_column(lv, "back_invalidations");
@@ -557,15 +486,14 @@ bool render_set_heatmaps(const JsonValue& doc, const std::string& level_filter,
                 s, static_cast<unsigned long long>(evictions[s]),
                 static_cast<unsigned long long>(dooms[s]));
         std::string names;
-        for (std::size_t oi = 0; oi < objects.size(); ++oi) {
-          const JsonValue& o = objects.at(oi);
+        for (const JsonValue& o : objects) {
           const std::uint64_t start =
-              is_llc ? o["llc_set_start"].as_u64() : o["l1_set_start"].as_u64();
-          const std::uint64_t covered = is_llc ? o["llc_sets_covered"].as_u64()
-                                               : o["l1_sets_covered"].as_u64();
+              o.u64(is_llc ? "llc_set_start" : "l1_set_start");
+          const std::uint64_t covered =
+              o.u64(is_llc ? "llc_sets_covered" : "l1_sets_covered");
           if (!span_covers(start, covered, sets, s)) continue;
           if (!names.empty()) names += ", ";
-          names += o["name"].as_string();
+          names += o.str("name");
         }
         appendf(out, "  objects: %s\n", names.empty() ? "-" : names.c_str());
       }
@@ -626,64 +554,60 @@ struct CellMetrics {
 
 CellMetrics cell_metrics(const JsonValue& cell) {
   CellMetrics m;
-  const JsonValue& runs = cell["telemetry"]["runs"];
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const JsonValue& run = runs.at(i);
-    const JsonValue& totals = run["totals"];
-    m.makespan += run["makespan"].as_u64();
-    m.tx_started += totals["tx_started"].as_u64();
-    m.tx_committed += totals["tx_committed"].as_u64();
-    m.tx_aborted += totals["tx_aborted"].as_u64();
-    m.tx_cycles_committed += totals["tx_cycles_committed"].as_u64();
-    m.tx_cycles_wasted += totals["tx_cycles_wasted"].as_u64();
-    const JsonValue& cy = totals["cycles"];
-    for (std::size_t b = 0; b < 6; ++b) {
-      m.buckets[b] += cy[kBucketKeys[b]].as_u64();
-    }
-    m.cycles_total += cy["total"].as_u64();
+  for (const JsonValue& run : cell.obj("telemetry").objects("runs")) {
+    const JsonValue& totals = run.obj("totals");
+    m.makespan += run.u64("makespan");
+    m.tx_started += totals.u64("tx_started");
+    m.tx_committed += totals.u64("tx_committed");
+    m.tx_aborted += totals.u64("tx_aborted");
+    m.tx_cycles_committed += totals.u64("tx_cycles_committed");
+    m.tx_cycles_wasted += totals.u64("tx_cycles_wasted");
+    const JsonValue& cy = totals.obj("cycles");
+    for (std::size_t b = 0; b < 6; ++b) m.buckets[b] += cy.u64(kBucketKeys[b]);
+    m.cycles_total += cy.u64("total");
     m.runs++;
   }
   return m;
 }
 
-int axis_index(const JsonValue& axes, const std::string& name) {
+int axis_index(const std::vector<JsonValue>& axes, const std::string& name) {
   for (std::size_t i = 0; i < axes.size(); ++i) {
-    if (axes.at(i)["axis"].as_string() == name) return static_cast<int>(i);
+    if (axes[i].str("axis") == name) return static_cast<int>(i);
   }
   return -1;
 }
 
 /// "workload=genome/threads=4" for every axis except `skip` (-1 = none).
-std::string coords_label(const JsonValue& axes, const JsonValue& coords,
-                         int skip) {
+std::string coords_label(const std::vector<JsonValue>& axes,
+                         const JsonValue& coords, int skip) {
   std::string label;
   for (std::size_t a = 0; a < axes.size(); ++a) {
     if (static_cast<int>(a) == skip) continue;
-    const std::string& name = axes.at(a)["axis"].as_string();
+    const std::string& name = axes[a].str("axis");
     if (!label.empty()) label += '/';
-    label += name + '=' + coords[name].as_string();
+    label += name + '=' + coords.str(name);
   }
   return label;
 }
 
 void render_scaling_curves(std::string& out, const JsonValue& doc) {
-  const JsonValue& axes = doc["axes"];
+  const std::vector<JsonValue>& axes = doc.objects("axes");
   const int t_axis = axis_index(axes, "threads");
   if (t_axis < 0) {
     out += "  (no 'threads' axis: scaling curves not applicable)\n";
     return;
   }
-  const JsonValue& t_values = axes.at(static_cast<std::size_t>(t_axis))["values"];
+  const JsonValue& t_values =
+      axes[static_cast<std::size_t>(t_axis)].arr("values");
   // Group cells by the non-thread coordinates, preserving grid order.
   struct Group {
     std::string label;
     std::vector<std::uint64_t> makespan;  // indexed by thread-value position
   };
   std::vector<Group> groups;
-  const JsonValue& cells = doc["cells"];
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonValue& cell = cells.at(i);
-    const std::string key = coords_label(axes, cell["coords"], t_axis);
+  for (const JsonValue& cell : doc.objects("cells")) {
+    const JsonValue& coords = cell.obj("coords");
+    const std::string key = coords_label(axes, coords, t_axis);
     Group* g = nullptr;
     for (Group& cand : groups) {
       if (cand.label == key) {
@@ -695,12 +619,9 @@ void render_scaling_curves(std::string& out, const JsonValue& doc) {
       groups.push_back(Group{key, std::vector<std::uint64_t>(t_values.size(), 0)});
       g = &groups.back();
     }
-    const std::string& tv =
-        cell["coords"][axes.at(static_cast<std::size_t>(t_axis))["axis"]
-                           .as_string()]
-            .as_string();
+    const std::string& tv = coords.str("threads");
     for (std::size_t p = 0; p < t_values.size(); ++p) {
-      if (t_values.at(p).as_string() == tv) {
+      if (t_values.str(p) == tv) {
         g->makespan[p] = cell_metrics(cell).makespan;
         break;
       }
@@ -709,13 +630,13 @@ void render_scaling_curves(std::string& out, const JsonValue& doc) {
   std::size_t wide = 24;
   for (const Group& g : groups) wide = std::max(wide, g.label.size());
   out += "  scaling curves (makespan by threads; speedup vs t=" +
-         t_values.at(0).as_string() + "):\n";
+         t_values.str(0) + "):\n";
   appendf(out, "    %-*s", static_cast<int>(wide), "cell group");
   for (std::size_t p = 0; p < t_values.size(); ++p) {
-    appendf(out, "  %12s", ("t=" + t_values.at(p).as_string()).c_str());
+    appendf(out, "  %12s", ("t=" + t_values.str(p)).c_str());
   }
   for (std::size_t p = 1; p < t_values.size(); ++p) {
-    appendf(out, "  %8s", ("x@" + t_values.at(p).as_string()).c_str());
+    appendf(out, "  %8s", ("x@" + t_values.str(p)).c_str());
   }
   out += '\n';
   for (const Group& g : groups) {
@@ -737,37 +658,34 @@ void render_scaling_curves(std::string& out, const JsonValue& doc) {
 }  // namespace
 
 bool is_sweep_doc(const JsonValue& doc) {
-  return doc.is_object() && doc["cells"].is_array() &&
-         doc["schema"].as_string() == "tsxhpc-sweep-v1";
+  return doc.str("schema") == kSweepSchema;
 }
 
 std::string render_sweep_report(const JsonValue& doc) {
   std::string out;
-  const JsonValue& axes = doc["axes"];
-  const JsonValue& cells = doc["cells"];
+  const std::vector<JsonValue>& axes = doc.objects("axes");
+  const std::vector<JsonValue>& cells = doc.objects("cells");
   appendf(out, "tsx_report sweep: %s bench=%s scale=%s schema=%s cells=%zu\n",
-          doc["sweep"].as_string().c_str(), doc["bench"].as_string().c_str(),
-          doc["scale"].as_string().c_str(), doc["schema"].as_string().c_str(),
-          cells.size());
+          doc.str("sweep").c_str(), doc.str("bench").c_str(),
+          doc.str("scale").c_str(), doc.str("schema").c_str(), cells.size());
   out += "  grid: ";
   for (std::size_t a = 0; a < axes.size(); ++a) {
     if (a > 0) out += " x ";
-    appendf(out, "%s(%zu)", axes.at(a)["axis"].as_string().c_str(),
-            axes.at(a)["values"].size());
+    appendf(out, "%s(%zu)", axes[a].str("axis").c_str(),
+            axes[a].arr("values").size());
   }
   out += "\n\n";
 
   std::size_t wide = 24;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    wide = std::max(wide, cells.at(i)["cell"].as_string().size());
+  for (const JsonValue& cell : cells) {
+    wide = std::max(wide, cell.str("cell").size());
   }
   appendf(out, "  %-*s  %4s  %12s  %11s  %11s\n", static_cast<int>(wide),
           "cell", "runs", "makespan", "abort-rate", "wasted-cyc");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonValue& cell = cells.at(i);
+  for (const JsonValue& cell : cells) {
     const CellMetrics m = cell_metrics(cell);
     appendf(out, "  %-*s  %4zu  %12llu  %10.2f%%  %10.2f%%\n",
-            static_cast<int>(wide), cell["cell"].as_string().c_str(), m.runs,
+            static_cast<int>(wide), cell.str("cell").c_str(), m.runs,
             static_cast<unsigned long long>(m.makespan), m.abort_rate_pct(),
             m.wasted_cycle_pct());
   }
@@ -782,14 +700,12 @@ std::string render_sweep_report(const JsonValue& doc) {
 bool render_sweep_pivot(const JsonValue& doc, const std::string& axis_a,
                         const std::string& axis_b, const std::string& metric,
                         std::string& out) {
-  const JsonValue& axes = doc["axes"];
+  const std::vector<JsonValue>& axes = doc.objects("axes");
   const int ia = axis_index(axes, axis_a);
   const int ib = axis_index(axes, axis_b);
   if (ia < 0 || ib < 0 || ia == ib) {
     out += "pivot: need two distinct axes of this grid (have:";
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      out += ' ' + axes.at(a)["axis"].as_string();
-    }
+    for (const JsonValue& axis : axes) out += ' ' + axis.str("axis");
     out += ")\n";
     return false;
   }
@@ -804,23 +720,21 @@ bool render_sweep_pivot(const JsonValue& doc, const std::string& axis_a,
            "work, tx_committed, tx_wasted, lock_wait, fallback, mem_stall)\n";
     return false;
   }
-  const JsonValue& va = axes.at(static_cast<std::size_t>(ia))["values"];
-  const JsonValue& vb = axes.at(static_cast<std::size_t>(ib))["values"];
+  const JsonValue& va = axes[static_cast<std::size_t>(ia)].arr("values");
+  const JsonValue& vb = axes[static_cast<std::size_t>(ib)].arr("values");
   std::vector<double> sum(va.size() * vb.size(), 0.0);
   std::vector<std::size_t> count(va.size() * vb.size(), 0);
-  const JsonValue& cells = doc["cells"];
   std::size_t averaged_over = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonValue& cell = cells.at(i);
-    const JsonValue& coords = cell["coords"];
+  for (const JsonValue& cell : doc.objects("cells")) {
+    const JsonValue& coords = cell.obj("coords");
     std::size_t pa = va.size(), pb = vb.size();
-    const std::string& cva = coords[axis_a].as_string();
-    const std::string& cvb = coords[axis_b].as_string();
+    const std::string& cva = coords.str(axis_a);
+    const std::string& cvb = coords.str(axis_b);
     for (std::size_t p = 0; p < va.size(); ++p) {
-      if (va.at(p).as_string() == cva) pa = p;
+      if (va.str(p) == cva) pa = p;
     }
     for (std::size_t p = 0; p < vb.size(); ++p) {
-      if (vb.at(p).as_string() == cvb) pb = p;
+      if (vb.str(p) == cvb) pb = p;
     }
     if (pa == va.size() || pb == vb.size()) continue;
     const CellMetrics m = cell_metrics(cell);
@@ -847,16 +761,15 @@ bool render_sweep_pivot(const JsonValue& doc, const std::string& axis_a,
           averaged_over > 1 ? " (mean over remaining axes)" : "");
   std::size_t wide = axis_a.size();
   for (std::size_t p = 0; p < va.size(); ++p) {
-    wide = std::max(wide, va.at(p).as_string().size());
+    wide = std::max(wide, va.str(p).size());
   }
   appendf(out, "    %-*s", static_cast<int>(wide), axis_a.c_str());
   for (std::size_t p = 0; p < vb.size(); ++p) {
-    appendf(out, "  %12s", vb.at(p).as_string().c_str());
+    appendf(out, "  %12s", vb.str(p).c_str());
   }
   out += '\n';
   for (std::size_t pa = 0; pa < va.size(); ++pa) {
-    appendf(out, "    %-*s", static_cast<int>(wide),
-            va.at(pa).as_string().c_str());
+    appendf(out, "    %-*s", static_cast<int>(wide), va.str(pa).c_str());
     for (std::size_t pb = 0; pb < vb.size(); ++pb) {
       const std::size_t k = pa * vb.size() + pb;
       if (count[k] == 0) {
@@ -876,56 +789,47 @@ int render_sweep_diff(const JsonValue& base, const JsonValue& cur,
                       const DiffThresholds& thr, std::string& out) {
   int failures = 0;
   appendf(out, "tsx_report sweep diff: base=%s (bench=%s), current=%s (bench=%s)\n",
-          base["sweep"].as_string().c_str(), base["bench"].as_string().c_str(),
-          cur["sweep"].as_string().c_str(), cur["bench"].as_string().c_str());
+          base.str("sweep").c_str(), base.str("bench").c_str(),
+          cur.str("sweep").c_str(), cur.str("bench").c_str());
   appendf(out, "thresholds: abort-rate +%.2fpp, wasted-cycles +%.2fpp\n",
           thr.abort_rate_pp, thr.wasted_cycle_pp);
-  failures += diff_schemas(base, cur, "", out);
   // The grids must describe the same axes with the same value lists (order
   // included — expansion order names the cells).
-  const JsonValue& base_axes = base["axes"];
-  const JsonValue& cur_axes = cur["axes"];
+  const std::vector<JsonValue>& base_axes = base.objects("axes");
+  const std::vector<JsonValue>& cur_axes = cur.objects("axes");
   if (base_axes.size() != cur_axes.size()) {
     appendf(out, "AXIS MISMATCH: baseline has %zu axes, current has %zu\n",
             base_axes.size(), cur_axes.size());
     failures++;
   } else {
     for (std::size_t a = 0; a < base_axes.size(); ++a) {
-      const JsonValue& ba = base_axes.at(a);
-      const JsonValue& ca = cur_axes.at(a);
-      if (ba["axis"].as_string() != ca["axis"].as_string()) {
+      const JsonValue& ba = base_axes[a];
+      const JsonValue& ca = cur_axes[a];
+      if (ba.str("axis") != ca.str("axis")) {
         appendf(out, "AXIS MISMATCH: axis %zu is '%s' in baseline, '%s' in "
                      "current\n",
-                a, ba["axis"].as_string().c_str(),
-                ca["axis"].as_string().c_str());
+                a, ba.str("axis").c_str(), ca.str("axis").c_str());
         failures++;
         continue;
       }
-      const JsonValue& bv = ba["values"];
-      const JsonValue& cv = ca["values"];
+      const JsonValue& bv = ba.arr("values");
+      const JsonValue& cv = ca.arr("values");
       bool same = bv.size() == cv.size();
       for (std::size_t p = 0; same && p < bv.size(); ++p) {
-        same = bv.at(p).as_string() == cv.at(p).as_string();
+        same = bv.str(p) == cv.str(p);
       }
       if (!same) {
         appendf(out, "AXIS MISMATCH: axis '%s' value lists differ\n",
-                ba["axis"].as_string().c_str());
+                ba.str("axis").c_str());
         failures++;
       }
     }
   }
-  const JsonValue& base_cells = base["cells"];
-  const JsonValue& cur_cells = cur["cells"];
-  for (std::size_t i = 0; i < cur_cells.size(); ++i) {
-    const JsonValue& c = cur_cells.at(i);
-    const std::string& label = c["cell"].as_string();
-    const JsonValue* b = nullptr;
-    for (std::size_t j = 0; j < base_cells.size(); ++j) {
-      if (base_cells.at(j)["cell"].as_string() == label) {
-        b = &base_cells.at(j);
-        break;
-      }
-    }
+  const std::vector<JsonValue>& base_cells = base.objects("cells");
+  const std::vector<JsonValue>& cur_cells = cur.objects("cells");
+  for (const JsonValue& c : cur_cells) {
+    const std::string& label = c.str("cell");
+    const JsonValue* b = find_labeled(base_cells, "cell", label);
     if (!b) {
       appendf(out,
               "cell %s: MISMATCH — present in current but not in baseline\n",
@@ -933,21 +837,12 @@ int render_sweep_diff(const JsonValue& base, const JsonValue& cur,
       failures++;
       continue;
     }
-    // Embedded telemetry rides verbatim per cell, so a schema bump shows up
-    // here (the grid wrapper stays tsxhpc-sweep-v1 across telemetry bumps).
-    failures += diff_schemas((*b)["telemetry"], c["telemetry"],
-                             "cell " + label + ": ", out);
-    failures += diff_run_sets((*b)["telemetry"]["runs"],
-                              c["telemetry"]["runs"], thr,
+    failures += diff_run_sets(b->obj("telemetry"), c.obj("telemetry"), thr,
                               "cell " + label + ": ", out);
   }
-  for (std::size_t j = 0; j < base_cells.size(); ++j) {
-    const std::string& label = base_cells.at(j)["cell"].as_string();
-    bool found = false;
-    for (std::size_t i = 0; i < cur_cells.size() && !found; ++i) {
-      found = cur_cells.at(i)["cell"].as_string() == label;
-    }
-    if (!found) {
+  for (const JsonValue& b : base_cells) {
+    const std::string& label = b.str("cell");
+    if (!find_labeled(cur_cells, "cell", label)) {
       appendf(out,
               "cell %s: MISMATCH — present in baseline but missing from "
               "current\n",

@@ -1,9 +1,12 @@
 // Human-readable analysis of tsxhpc artifacts: per-run telemetry reports
-// (tsxhpc-telemetry-v*) and grid views over merged sweep artifacts
-// (tsxhpc-sweep-v1). Both consumers — the tools/tsx_report CLI (from a JSON
+// (kTelemetrySchema) and grid views over merged sweep artifacts
+// (kSweepSchema). Both consumers — the tools/tsx_report CLI (from a JSON
 // file) and bench --report (from the in-process Telemetry, serialized and
-// re-parsed) — go through this one code path, so the numbers they print are
-// identical by construction.
+// re-parsed) — load through load_artifact (sim/invariants.h) and render
+// through this one code path, so the numbers they print are identical by
+// construction. Every renderer reads through the strict lookups of
+// sim/json_parse.h and builds its whole output before returning, so a
+// missing or mistyped field throws JsonError and nothing partial is shown.
 #pragma once
 
 #include <string>
@@ -22,10 +25,7 @@ struct DiffThresholds {
   double wasted_cycle_pp = 1.0;
 };
 
-/// True if `doc` looks like a telemetry artifact this report understands.
-bool is_telemetry_doc(const JsonValue& doc);
-
-/// True if `doc` is a merged tsxhpc-sweep-v1 grid artifact.
+/// True if a loaded artifact is a merged sweep grid, not flat telemetry.
 bool is_sweep_doc(const JsonValue& doc);
 
 /// Render the report for one parsed artifact, with a "!!" line per broken
@@ -40,7 +40,7 @@ std::string render_report(const JsonValue& doc, const ReportOptions& opt = {});
 int render_diff(const JsonValue& base, const JsonValue& cur,
                 const DiffThresholds& thr, std::string& out);
 
-/// Render terminal per-set heatmaps from a v5 artifact's `set_stats` block:
+/// Render terminal per-set heatmaps from an artifact's `set_stats` block:
 /// per-level occupancy, eviction-pressure and capacity-abort density rows
 /// (one glyph per set), plus the named objects spanning the hottest sets.
 /// `level_filter` selects levels: "all", "l1" (every L1 instance), "llc",

@@ -6,15 +6,15 @@
 // from the deterministic JSON artifact and are formatted with fixed
 // precision, so the dashboard bytes are deterministic too.
 //
-// Telemetry artifacts (tsxhpc-telemetry-v*) get, per run: a summary strip,
-// the concurrency-control table (v7 `cc` block, when present),
-// topology-resolved slice/socket tables (v6, sliced/multi-socket machines
-// only), per-set heatmaps (v5 `set_stats` block, when present) with
+// Telemetry artifacts get, per run: a summary strip, the
+// concurrency-control table (the `cc` block, when present),
+// topology-resolved slice/socket tables (sliced/multi-socket machines
+// only), per-set heatmaps (the `set_stats` block, when present) with
 // named-object spans, the interval-sample time series, and the per-site
 // policy table; multi-run topology artifacts additionally get makespan
 // scaling curves per (map, slices, sockets) combination. Sweep artifacts
-// (tsxhpc-sweep-v1) get the per-cell summary plus makespan scaling curves
-// along the "threads" axis.
+// get the per-cell summary plus makespan scaling curves along the
+// "threads" axis.
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
@@ -37,6 +37,11 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+/// Counter `key` of `obj` as printf's %llu takes it.
+unsigned long long llu(const JsonValue& obj, std::string_view key) {
+  return obj.u64(key);
+}
+
 std::string html_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -52,10 +57,9 @@ std::string html_escape(const std::string& s) {
   return out;
 }
 
-std::vector<std::uint64_t> u64_column(const JsonValue& obj, const char* key) {
-  const JsonValue& arr = obj[key];
+std::vector<std::uint64_t> u64_column(const JsonValue& arr) {
   std::vector<std::uint64_t> v(arr.size(), 0);
-  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.at(i).as_u64();
+  for (std::size_t i = 0; i < arr.size(); ++i) v[i] = arr.u64(i);
   return v;
 }
 
@@ -116,30 +120,23 @@ void svg_series(std::string& out, const std::vector<std::uint64_t>& v,
 // --- Telemetry sections ---------------------------------------------------
 
 void emit_run_summary(std::string& out, const JsonValue& run) {
-  const JsonValue& totals = run["totals"];
+  const JsonValue& totals = run.obj("totals");
   out += "<div class=\"cards\">";
+  const auto pct = [&totals](const char* key) {
+    char b[32];
+    std::snprintf(b, sizeof(b), "%.2f%%", totals.f64(key));
+    return std::string(b);
+  };
   const struct {
     const char* label;
     std::string value;
   } cards[] = {
-      {"makespan", std::to_string(run["makespan"].as_u64())},
-      {"threads", std::to_string(run["num_threads"].as_u64())},
-      {"tx started", std::to_string(totals["tx_started"].as_u64())},
-      {"tx committed", std::to_string(totals["tx_committed"].as_u64())},
-      {"abort rate",
-       [&] {
-         char b[32];
-         std::snprintf(b, sizeof(b), "%.2f%%",
-                       totals["abort_rate_pct"].as_double());
-         return std::string(b);
-       }()},
-      {"wasted cycles",
-       [&] {
-         char b[32];
-         std::snprintf(b, sizeof(b), "%.2f%%",
-                       totals["wasted_cycle_pct"].as_double());
-         return std::string(b);
-       }()},
+      {"makespan", std::to_string(run.u64("makespan"))},
+      {"threads", std::to_string(run.u64("num_threads"))},
+      {"tx started", std::to_string(totals.u64("tx_started"))},
+      {"tx committed", std::to_string(totals.u64("tx_committed"))},
+      {"abort rate", pct("abort_rate_pct")},
+      {"wasted cycles", pct("wasted_cycle_pct")},
   };
   for (const auto& c : cards) {
     appendf(out,
@@ -150,55 +147,49 @@ void emit_run_summary(std::string& out, const JsonValue& run) {
   out += "</div>";
 }
 
-/// Topology-resolved tables (v6 artifacts): per-slice and per-socket event
-/// counters plus the hop summary. Skipped for the default 1-socket/1-slice
-/// machine, whose reports look exactly as they always did.
+/// Topology-resolved tables: per-slice and per-socket event counters plus
+/// the hop summary. Skipped for the default 1-socket/1-slice machine, whose
+/// reports look exactly as they always did.
 void emit_topology(std::string& out, const JsonValue& run) {
-  const JsonValue& topo = run["topology"];
-  if (!topo.is_object()) return;
-  const std::uint64_t sockets = topo["sockets"].as_u64();
-  const std::uint64_t slices = topo["slices"].as_u64();
+  const JsonValue& topo = run.obj("topology");
+  const std::uint64_t sockets = topo.u64("sockets");
+  const std::uint64_t slices = topo.u64("slices");
   if (sockets <= 1 && slices <= 1) return;
   appendf(out,
           "<h3>Topology</h3><div class=\"legend\">%llu socket(s) × %llu "
           "cores/socket, %llu LLC slice(s), map=%s, hop cycles "
           "slice=%llu/socket=%llu</div>",
           static_cast<unsigned long long>(sockets),
-          static_cast<unsigned long long>(topo["cores_per_socket"].as_u64()),
+          llu(topo, "cores_per_socket"),
           static_cast<unsigned long long>(slices),
-          html_escape(topo["map"].as_string()).c_str(),
-          static_cast<unsigned long long>(topo["lat_hop_slice"].as_u64()),
-          static_cast<unsigned long long>(topo["lat_hop_socket"].as_u64()));
-  const JsonValue& ss = topo["slice_stats"];
+          html_escape(topo.str("map")).c_str(), llu(topo, "lat_hop_slice"),
+          llu(topo, "lat_hop_socket"));
+  const JsonValue& ss = topo.arr("slice_stats");
   if (ss.size() != 0) {
     out += "<table><tr><th>slice</th><th>hits</th><th>misses</th>"
            "<th>evictions</th><th>xfers</th></tr>";
     for (std::size_t s = 0; s < ss.size(); ++s) {
-      const JsonValue& sl = ss.at(s);
+      const JsonValue& sl = ss.obj(s);
       appendf(out,
               "<tr><td>s%zu</td><td>%llu</td><td>%llu</td><td>%llu</td>"
               "<td>%llu</td></tr>",
-              s, static_cast<unsigned long long>(sl["hits"].as_u64()),
-              static_cast<unsigned long long>(sl["misses"].as_u64()),
-              static_cast<unsigned long long>(sl["evictions"].as_u64()),
-              static_cast<unsigned long long>(sl["xfers"].as_u64()));
+              s, llu(sl, "hits"), llu(sl, "misses"), llu(sl, "evictions"),
+              llu(sl, "xfers"));
     }
     out += "</table>";
   }
-  const JsonValue& so = topo["socket_stats"];
+  const JsonValue& so = topo.arr("socket_stats");
   if (so.size() != 0) {
     out += "<table><tr><th>socket</th><th>accesses</th><th>dram local</th>"
            "<th>dram remote</th><th>slice hops</th><th>socket hops</th></tr>";
     for (std::size_t s = 0; s < so.size(); ++s) {
-      const JsonValue& sk = so.at(s);
+      const JsonValue& sk = so.obj(s);
       appendf(out,
               "<tr><td>%zu</td><td>%llu</td><td>%llu</td><td>%llu</td>"
               "<td>%llu</td><td>%llu</td></tr>",
-              s, static_cast<unsigned long long>(sk["accesses"].as_u64()),
-              static_cast<unsigned long long>(sk["dram_local"].as_u64()),
-              static_cast<unsigned long long>(sk["dram_remote"].as_u64()),
-              static_cast<unsigned long long>(sk["slice_hops"].as_u64()),
-              static_cast<unsigned long long>(sk["socket_hops"].as_u64()));
+              s, llu(sk, "accesses"), llu(sk, "dram_local"),
+              llu(sk, "dram_remote"), llu(sk, "slice_hops"),
+              llu(sk, "socket_hops"));
     }
     out += "</table>";
   }
@@ -212,26 +203,24 @@ void emit_topology(std::string& out, const JsonValue& run) {
 void emit_topology_scaling(std::string& out, const JsonValue& doc) {
   std::map<std::string, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       groups;  // key -> (threads, makespan)
-  const auto collect = [&groups](const JsonValue& runs) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const JsonValue& run = runs.at(i);
-      const JsonValue& topo = run["topology"];
-      if (!topo.is_object()) continue;
-      if (topo["sockets"].as_u64() <= 1 && topo["slices"].as_u64() <= 1) {
-        continue;
-      }
-      const std::string key =
-          topo["map"].as_string() + "/s" +
-          std::to_string(topo["slices"].as_u64()) + "/" +
-          std::to_string(topo["sockets"].as_u64()) + "skt";
-      groups[key].emplace_back(run["num_threads"].as_u64(),
-                               run["makespan"].as_u64());
+  const auto collect = [&groups](const JsonValue& tel) {
+    for (const JsonValue& run : tel.objects("runs")) {
+      const JsonValue& topo = run.obj("topology");
+      const std::uint64_t sockets = topo.u64("sockets");
+      const std::uint64_t slices = topo.u64("slices");
+      if (sockets <= 1 && slices <= 1) continue;
+      const std::string key = topo.str("map") + "/s" +
+                              std::to_string(slices) + "/" +
+                              std::to_string(sockets) + "skt";
+      groups[key].emplace_back(run.u64("num_threads"), run.u64("makespan"));
     }
   };
-  collect(doc["runs"]);
-  const JsonValue& cells = doc["cells"];
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    collect(cells.at(c)["telemetry"]["runs"]);
+  if (!is_sweep_doc(doc)) {
+    collect(doc);
+  } else {
+    for (const JsonValue& cell : doc.objects("cells")) {
+      collect(cell.obj("telemetry"));
+    }
   }
   bool any = false;
   for (const auto& [key, points] : groups) any |= points.size() >= 2;
@@ -261,62 +250,54 @@ void emit_topology_scaling(std::string& out, const JsonValue& doc) {
 }
 
 void emit_set_heatmaps(std::string& out, const JsonValue& run) {
-  const JsonValue& ss = run["set_stats"];
-  if (!ss.is_object()) return;
+  if (!run.find("set_stats")) return;
+  const JsonValue& ss = run.obj("set_stats");
   out += "<h3>Per-set heatmaps</h3>";
-  const JsonValue& levels = ss["levels"];
-  for (std::size_t li = 0; li < levels.size(); ++li) {
-    const JsonValue& lv = levels.at(li);
-    const auto occupancy = u64_column(lv, "occupancy");
-    const auto evictions = u64_column(lv, "evictions");
-    const auto w_dooms = u64_column(lv, "capacity_write_dooms");
-    const auto r_dooms = u64_column(lv, "capacity_read_dooms");
-    std::vector<std::uint64_t> dooms(occupancy.size(), 0);
-    for (std::size_t s = 0; s < dooms.size(); ++s) {
-      dooms[s] = w_dooms[s] + r_dooms[s];
-    }
-    const std::size_t sets = occupancy.size();
+  for (const JsonValue& lv : ss.objects("levels")) {
+    // One value per set in every column: the rows index them all by set.
+    const std::size_t sets = lv.u64("sets");
+    const auto occupancy = u64_column(lv.arr("occupancy", sets));
+    const auto evictions = u64_column(lv.arr("evictions", sets));
+    const auto w_dooms = u64_column(lv.arr("capacity_write_dooms", sets));
+    const auto r_dooms = u64_column(lv.arr("capacity_read_dooms", sets));
+    std::vector<std::uint64_t> dooms(sets, 0);
+    for (std::size_t s = 0; s < sets; ++s) dooms[s] = w_dooms[s] + r_dooms[s];
     appendf(out, "<div class=\"lvl\"><b>%s</b> (%llu sets × %llu ways)",
-            html_escape(lv["level"].as_string()).c_str(),
-            static_cast<unsigned long long>(lv["sets"].as_u64()),
-            static_cast<unsigned long long>(lv["ways"].as_u64()));
+            html_escape(lv.str("level")).c_str(), llu(lv, "sets"),
+            llu(lv, "ways"));
     appendf(out, "<svg width=\"%zu\" height=\"48\">", 90 + sets * 9 + 4);
-    svg_heat_row(out, occupancy, lv["ways"].as_u64(), 0, 40, 90, 200,
+    svg_heat_row(out, occupancy, lv.u64("ways"), 0, 40, 90, 200,
                  "occupancy");
     svg_heat_row(out, evictions, vmax(evictions), 16, 230, 140, 30,
                  "evictions");
     svg_heat_row(out, dooms, vmax(dooms), 32, 200, 40, 40, "dooms");
     out += "</svg></div>";
   }
-  const JsonValue& objects = ss["objects"];
-  if (objects.size() != 0) {
+  const std::vector<JsonValue>& objects = ss.objects("objects");
+  if (!objects.empty()) {
     out += "<table><tr><th>object</th><th>bytes</th><th>lines</th>"
            "<th>l1 sets</th><th>llc sets</th></tr>";
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-      const JsonValue& o = objects.at(i);
+    for (const JsonValue& o : objects) {
       appendf(out,
               "<tr><td>%s</td><td>%llu</td><td>%llu</td>"
               "<td>%llu+%llu</td><td>%llu+%llu</td></tr>",
-              html_escape(o["name"].as_string()).c_str(),
-              static_cast<unsigned long long>(o["bytes"].as_u64()),
-              static_cast<unsigned long long>(o["lines"].as_u64()),
-              static_cast<unsigned long long>(o["l1_set_start"].as_u64()),
-              static_cast<unsigned long long>(o["l1_sets_covered"].as_u64()),
-              static_cast<unsigned long long>(o["llc_set_start"].as_u64()),
-              static_cast<unsigned long long>(o["llc_sets_covered"].as_u64()));
+              html_escape(o.str("name")).c_str(), llu(o, "bytes"),
+              llu(o, "lines"), llu(o, "l1_set_start"),
+              llu(o, "l1_sets_covered"), llu(o, "llc_set_start"),
+              llu(o, "llc_sets_covered"));
     }
     out += "</table>";
   }
 }
 
-/// Concurrency-control table (v7 `cc` block): the CcBackend seam's
+/// Concurrency-control table (the `cc` block): the CcBackend seam's
 /// region-level attempt chain and abort classes, plus whichever
 /// scheme-specific extras are nonzero (TicToc rts extensions, MVCC
 /// snapshot/version/GC accounting).
 void emit_cc(std::string& out, const JsonValue& run) {
-  const JsonValue& cc = run["cc"];
-  if (!cc.is_object()) return;
-  const JsonValue& cls = cc["aborts_by_class"];
+  if (!run.find("cc")) return;
+  const JsonValue& cc = run.obj("cc");
+  const JsonValue& cls = cc.obj("aborts_by_class");
   appendf(out,
           "<h3>Concurrency control <small>(%s)</small></h3>"
           "<table><tr><th>starts</th><th>commits</th><th>aborts</th>"
@@ -324,39 +305,28 @@ void emit_cc(std::string& out, const JsonValue& run) {
           "<th>commit-val</th></tr>"
           "<tr><td>%llu</td><td>%llu</td><td>%llu</td><td>%.2f%%</td>"
           "<td>%llu</td><td>%llu</td><td>%llu</td></tr></table>",
-          html_escape(cc["scheme"].as_string()).c_str(),
-          static_cast<unsigned long long>(cc["starts"].as_u64()),
-          static_cast<unsigned long long>(cc["commits"].as_u64()),
-          static_cast<unsigned long long>(cc["aborts"].as_u64()),
-          cc["abort_rate_pct"].as_double(),
-          static_cast<unsigned long long>(cls["read_validation"].as_u64()),
-          static_cast<unsigned long long>(cls["lock_acquire"].as_u64()),
-          static_cast<unsigned long long>(cls["commit_validation"].as_u64()));
-  if (cc["read_set_extensions"].as_u64() != 0) {
+          html_escape(cc.str("scheme")).c_str(), llu(cc, "starts"),
+          llu(cc, "commits"), llu(cc, "aborts"), cc.f64("abort_rate_pct"),
+          llu(cls, "read_validation"), llu(cls, "lock_acquire"),
+          llu(cls, "commit_validation"));
+  if (cc.u64("read_set_extensions") != 0) {
     appendf(out, "<div class=\"legend\">rts extensions: %llu</div>",
-            static_cast<unsigned long long>(
-                cc["read_set_extensions"].as_u64()));
+            llu(cc, "read_set_extensions"));
   }
-  if (cc["snapshot_commits"].as_u64() != 0 ||
-      cc["versions_created"].as_u64() != 0) {
+  if (cc.u64("snapshot_commits") != 0 || cc.u64("versions_created") != 0) {
     appendf(out,
             "<div class=\"legend\">mvcc: snapshot-commits=%llu "
             "versions=%llu chain-hops=%llu depth-max=%llu gc-runs=%llu "
             "gc-reclaims=%llu</div>",
-            static_cast<unsigned long long>(cc["snapshot_commits"].as_u64()),
-            static_cast<unsigned long long>(cc["versions_created"].as_u64()),
-            static_cast<unsigned long long>(
-                cc["version_chain_hops"].as_u64()),
-            static_cast<unsigned long long>(
-                cc["version_chain_depth_max"].as_u64()),
-            static_cast<unsigned long long>(cc["gc_runs"].as_u64()),
-            static_cast<unsigned long long>(cc["gc_reclaims"].as_u64()));
+            llu(cc, "snapshot_commits"), llu(cc, "versions_created"),
+            llu(cc, "version_chain_hops"), llu(cc, "version_chain_depth_max"),
+            llu(cc, "gc_runs"), llu(cc, "gc_reclaims"));
   }
 }
 
 void emit_samples(std::string& out, const JsonValue& run) {
-  const JsonValue& samples = run["samples"];
-  if (!samples.is_object() || samples["count"].as_u64() == 0) return;
+  const JsonValue& samples = run.obj("samples");
+  if (samples.u64("count") == 0) return;
   out += "<h3>Interval time series</h3>";
   const struct {
     const char* key;
@@ -367,7 +337,7 @@ void emit_samples(std::string& out, const JsonValue& run) {
   };
   appendf(out, "<svg width=\"640\" height=\"130\" class=\"chart\">");
   for (const auto& s : series) {
-    svg_series(out, u64_column(samples, s.key), 630, 120, s.color);
+    svg_series(out, u64_column(samples.arr(s.key)), 630, 120, s.color);
   }
   out += "</svg><div class=\"legend\">";
   for (const auto& s : series) {
@@ -375,48 +345,38 @@ void emit_samples(std::string& out, const JsonValue& run) {
   }
   appendf(out, "(interval=%llu cycles, %llu buckets; each line normalized "
                "to its own max)</div>",
-          static_cast<unsigned long long>(samples["interval_cycles"].as_u64()),
-          static_cast<unsigned long long>(samples["count"].as_u64()));
+          llu(samples, "interval_cycles"), llu(samples, "count"));
 }
 
 void emit_locks(std::string& out, const JsonValue& run) {
-  const JsonValue& locks = run["locks"];
-  if (locks.size() == 0) return;
+  const std::vector<JsonValue>& locks = run.objects("locks");
+  if (locks.empty()) return;
   out += "<h3>Lock sites &amp; policy decisions</h3>"
          "<table><tr><th>site</th><th>kind</th><th>acquires</th>"
          "<th>elided</th><th>fallbacks</th><th>elision</th><th>aborts</th>"
          "<th>retry</th><th>backoff</th><th>lock-wait</th><th>fallback</th>"
          "<th>skip</th></tr>";
-  for (std::size_t i = 0; i < locks.size(); ++i) {
-    const JsonValue& lk = locks.at(i);
-    const JsonValue& p = lk["policy"];
+  for (const JsonValue& lk : locks) {
+    const JsonValue& p = lk.obj("policy");
     appendf(out,
             "<tr><td>%s</td><td>%s</td><td>%llu</td><td>%llu</td>"
             "<td>%llu</td><td>%.1f%%</td><td>%llu</td><td>%llu</td>"
             "<td>%llu</td><td>%llu</td><td>%llu</td><td>%llu</td></tr>",
-            html_escape(lk["site"].as_string()).c_str(),
-            html_escape(lk["kind"].as_string()).c_str(),
-            static_cast<unsigned long long>(lk["acquires"].as_u64()),
-            static_cast<unsigned long long>(lk["elided_commits"].as_u64()),
-            static_cast<unsigned long long>(lk["fallback_acquires"].as_u64()),
-            lk["elision_rate_pct"].as_double(),
-            static_cast<unsigned long long>(lk["tx_aborts"].as_u64()),
-            static_cast<unsigned long long>(p["retries"].as_u64()),
-            static_cast<unsigned long long>(p["backoffs"].as_u64()),
-            static_cast<unsigned long long>(p["lock_waits"].as_u64()),
-            static_cast<unsigned long long>(p["fallbacks"].as_u64()),
-            static_cast<unsigned long long>(p["skips"].as_u64()));
+            html_escape(lk.str("site")).c_str(),
+            html_escape(lk.str("kind")).c_str(), llu(lk, "acquires"),
+            llu(lk, "elided_commits"), llu(lk, "fallback_acquires"),
+            lk.f64("elision_rate_pct"), llu(lk, "tx_aborts"), llu(p, "retries"),
+            llu(p, "backoffs"), llu(p, "lock_waits"), llu(p, "fallbacks"),
+            llu(p, "skips"));
   }
   out += "</table>";
 }
 
 void emit_telemetry_doc(std::string& out, const JsonValue& doc) {
-  const JsonValue& runs = doc["runs"];
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const JsonValue& run = runs.at(i);
+  for (const JsonValue& run : doc.objects("runs")) {
     appendf(out, "<section><h2>run %s <small>(%s backend)</small></h2>",
-            html_escape(run["label"].as_string()).c_str(),
-            html_escape(run["backend"].as_string()).c_str());
+            html_escape(run.str("label")).c_str(),
+            html_escape(run.str("backend")).c_str());
     emit_run_summary(out, run);
     emit_cc(out, run);
     emit_topology(out, run);
@@ -431,34 +391,35 @@ void emit_telemetry_doc(std::string& out, const JsonValue& doc) {
 // --- Sweep sections -------------------------------------------------------
 
 void emit_sweep_doc(std::string& out, const JsonValue& doc) {
-  const JsonValue& cells = doc["cells"];
+  const std::vector<JsonValue>& cells = doc.objects("cells");
   appendf(out, "<section><h2>sweep %s <small>(scale %s, %zu cells)</small>"
                "</h2>",
-          html_escape(doc["sweep"].as_string()).c_str(),
-          html_escape(doc["scale"].as_string()).c_str(), cells.size());
+          html_escape(doc.str("sweep")).c_str(),
+          html_escape(doc.str("scale")).c_str(), cells.size());
+  const auto first_run = [](const JsonValue& cell) -> const JsonValue& {
+    return cell.obj("telemetry").arr("runs").obj(0);
+  };
 
   // Per-cell summary table.
   out += "<table><tr><th>cell</th><th>makespan</th><th>abort rate</th>"
          "<th>wasted</th></tr>";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonValue& cell = cells.at(i);
-    const JsonValue& run = cell["telemetry"]["runs"].at(0);
+  for (const JsonValue& cell : cells) {
+    const JsonValue& run = first_run(cell);
     appendf(out,
             "<tr><td>%s</td><td>%llu</td><td>%.2f%%</td><td>%.2f%%</td></tr>",
-            html_escape(cell["cell"].as_string()).c_str(),
-            static_cast<unsigned long long>(run["makespan"].as_u64()),
-            run["totals"]["abort_rate_pct"].as_double(),
-            run["totals"]["wasted_cycle_pct"].as_double());
+            html_escape(cell.str("cell")).c_str(), llu(run, "makespan"),
+            run.obj("totals").f64("abort_rate_pct"),
+            run.obj("totals").f64("wasted_cycle_pct"));
   }
   out += "</table>";
 
   // Scaling curves along the "threads" axis: one polyline of makespan per
   // combination of the remaining axes (groups keyed by the cell label with
   // the threads coordinate removed).
-  const JsonValue& axes = doc["axes"];
+  const std::vector<JsonValue>& axes = doc.objects("axes");
   std::size_t threads_axis = axes.size();
   for (std::size_t a = 0; a < axes.size(); ++a) {
-    if (axes.at(a)["axis"].as_string() == "threads") threads_axis = a;
+    if (axes[a].str("axis") == "threads") threads_axis = a;
   }
   if (threads_axis == axes.size()) {
     // No threads axis (e.g. the topology grid sweeps map × slices and each
@@ -469,17 +430,15 @@ void emit_sweep_doc(std::string& out, const JsonValue& doc) {
     return;
   }
   std::map<std::string, std::vector<std::uint64_t>> groups;  // key -> series
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonValue& cell = cells.at(i);
+  for (const JsonValue& cell : cells) {
     std::string key;
     for (std::size_t a = 0; a < axes.size(); ++a) {
       if (a == threads_axis) continue;
-      const std::string& ax = axes.at(a)["axis"].as_string();
+      const std::string& ax = axes[a].str("axis");
       if (!key.empty()) key += "/";
-      key += ax + "=" + cell["coords"][ax].as_string();
+      key += ax + "=" + cell.obj("coords").str(ax);
     }
-    groups[key].push_back(
-        cell["telemetry"]["runs"].at(0)["makespan"].as_u64());
+    groups[key].push_back(first_run(cell).u64("makespan"));
   }
   out += "<h3>Makespan vs threads</h3>";
   static const char* kPalette[] = {"#2a7a2a", "#c03030", "#3050c0", "#c08020",
@@ -527,8 +486,8 @@ std::string render_html(const JsonValue& doc) {
   appendf(out, "<h1>tsxhpc %s report</h1><div class=\"legend\">bench=%s "
                "schema=%s</div>",
           sweep ? "sweep" : "telemetry",
-          html_escape(doc["bench"].as_string()).c_str(),
-          html_escape(doc["schema"].as_string()).c_str());
+          html_escape(doc.str("bench")).c_str(),
+          html_escape(doc.str("schema")).c_str());
   if (sweep) {
     emit_sweep_doc(out, doc);
   } else {

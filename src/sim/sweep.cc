@@ -13,23 +13,12 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-/// Read an array of strings at `key` (absent key -> empty, which is fine for
-/// the optional arg lists); false if present but not an array of strings.
-bool read_string_array(const JsonValue& doc, const char* key,
-                       std::vector<std::string>& out, std::string* error) {
-  const JsonValue& v = doc[key];
-  if (v.is_null()) return true;
-  if (!v.is_array()) {
-    return fail(error, std::string("'") + key + "' must be an array");
-  }
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const JsonValue& e = v.at(i);
-    if (e.type() != JsonValue::Type::kString) {
-      return fail(error, std::string("'") + key + "' entries must be strings");
-    }
-    out.push_back(e.as_string());
-  }
-  return true;
+/// The array of strings at `key`; throws JsonError on any other shape.
+std::vector<std::string> string_array(const JsonValue& obj, const char* key) {
+  const JsonValue& v = obj.arr(key);
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < v.size(); ++i) out.push_back(v.str(i));
+  return out;
 }
 
 }  // namespace
@@ -44,34 +33,30 @@ std::vector<std::string> SweepSpec::args_for_scale(
 }
 
 bool parse_sweep_spec(const JsonValue& doc, SweepSpec& spec,
-                      std::string* error) {
-  if (!doc.is_object()) return fail(error, "spec is not a JSON object");
-  if (doc["schema"].as_string() != kSweepSpecSchema) {
+                      std::string* error) try {
+  if (doc.str("schema") != kSweepSpecSchema) {
     return fail(error, "spec schema is not " + std::string(kSweepSpecSchema) +
-                           " (got '" + doc["schema"].as_string() + "')");
+                           " (got '" + doc.str("schema") + "')");
   }
-  spec.name = doc["name"].as_string();
+  spec.name = doc.str("name");
   if (spec.name.empty()) return fail(error, "spec has no 'name'");
-  spec.bench = doc["bench"].as_string();
+  spec.bench = doc.str("bench");
   if (spec.bench.empty()) return fail(error, "spec has no 'bench'");
   if (spec.bench.find('/') != std::string::npos) {
     return fail(error, "'bench' must be a binary name, not a path (the "
                        "orchestrator resolves it against --bench-dir)");
   }
-  if (!read_string_array(doc, "args", spec.args, error) ||
-      !read_string_array(doc, "quick_args", spec.quick_args, error) ||
-      !read_string_array(doc, "full_args", spec.full_args, error)) {
-    return false;
-  }
-  const JsonValue& axes = doc["axes"];
-  if (!axes.is_array() || axes.size() == 0) {
-    return fail(error, "spec needs a non-empty 'axes' array");
-  }
+  // The arg lists are the spec's only optional members.
+  if (doc.find("args")) spec.args = string_array(doc, "args");
+  if (doc.find("quick_args")) spec.quick_args = string_array(doc, "quick_args");
+  if (doc.find("full_args")) spec.full_args = string_array(doc, "full_args");
+  const std::vector<JsonValue>& axes = doc.objects("axes");
+  if (axes.empty()) return fail(error, "spec needs a non-empty 'axes' array");
   for (std::size_t i = 0; i < axes.size(); ++i) {
-    const JsonValue& a = axes.at(i);
+    const JsonValue& a = axes[i];
     SweepAxis axis;
-    axis.name = a["axis"].as_string();
-    axis.flag = a["flag"].as_string();
+    axis.name = a.str("axis");
+    axis.flag = a.str("flag");
     if (axis.name.empty()) {
       return fail(error, "axis " + std::to_string(i) + " has no 'axis' name");
     }
@@ -85,7 +70,7 @@ bool parse_sweep_spec(const JsonValue& doc, SweepSpec& spec,
       return fail(error, "axis '" + axis.name +
                              "' needs a 'flag' starting with --");
     }
-    if (!read_string_array(a, "values", axis.values, error)) return false;
+    axis.values = string_array(a, "values");
     if (axis.values.empty()) {
       return fail(error, "axis '" + axis.name + "' has no values");
     }
@@ -108,6 +93,8 @@ bool parse_sweep_spec(const JsonValue& doc, SweepSpec& spec,
     spec.axes.push_back(std::move(axis));
   }
   return true;
+} catch (const JsonError& e) {  // a missing or mistyped member
+  return fail(error, e.what());
 }
 
 std::vector<SweepCell> expand_cells(const SweepSpec& spec) {

@@ -49,7 +49,8 @@ struct SweepSpec {
 };
 
 /// Parse + validate a tsxhpc-sweepspec-v1 document. False (with *error set)
-/// on schema mismatch, missing/empty fields, duplicate axis names or values.
+/// on schema mismatch, missing/mistyped/empty fields, duplicate axis names or
+/// values.
 bool parse_sweep_spec(const JsonValue& doc, SweepSpec& spec,
                       std::string* error);
 

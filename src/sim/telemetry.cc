@@ -501,7 +501,7 @@ void write_u64_array(JsonWriter& w, const char* key,
 std::string Telemetry::json(const std::string& bench_name) const {
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", "tsxhpc-telemetry-v8");
+  w.kv("schema", kTelemetrySchema);
   w.kv("bench", bench_name);
   w.key("runs");
   w.begin_array();

@@ -1,4 +1,5 @@
-// Structured telemetry — the machine-readable counterpart of perf_report().
+// Structured telemetry — the machine-readable counterpart of the paper's
+// `perf` TSX counters.
 //
 // The paper's entire methodology is observability: Table 1 and Figures 1-6
 // are built from Linux `perf` TSX event counters. This layer is the
@@ -42,6 +43,10 @@
 #include "sim/types.h"
 
 namespace tsxhpc::sim {
+
+/// The artifact schema Telemetry::json writes and the reader
+/// (sim/invariants.h, load_artifact) accepts; nothing else is read.
+inline constexpr const char* kTelemetrySchema = "tsxhpc-telemetry-v8";
 
 /// What kind of synchronization object a lock site is. Recorded on the first
 /// event a site produces in a run; purely descriptive.
@@ -471,7 +476,7 @@ class Telemetry {
 
   const std::vector<RunRecord>& runs() const { return runs_; }
 
-  /// Full JSON artifact (schema tsxhpc-telemetry-v8), stable key order.
+  /// Full JSON artifact (schema kTelemetrySchema), stable key order.
   std::string json(const std::string& bench_name) const;
   /// Chrome trace-event JSON (catapult format, loadable in Perfetto): one
   /// process per run, one track per hardware thread, transaction slices

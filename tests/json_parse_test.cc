@@ -21,17 +21,64 @@ std::string parse_error(const std::string& text) {
   return err;
 }
 
+/// The message of the JsonError `fn` throws.
+template <typename Fn>
+std::string lookup_error(Fn fn) {
+  try {
+    fn();
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a JsonError";
+  return "";
+}
+
 TEST(JsonParse, WellFormedRoundTrip) {
   std::string err;
   const JsonValue v = JsonParser::parse(
       R"({"a":1,"b":[true,false,null],"c":{"d":"x\ny","e":-2.5e3}})", &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v["a"].as_u64(), 1u);
-  EXPECT_EQ(v["b"].size(), 3u);
-  EXPECT_TRUE(v["b"].at(0).as_bool());
-  EXPECT_TRUE(v["b"].at(2).is_null());
-  EXPECT_EQ(v["c"]["d"].as_string(), "x\ny");
-  EXPECT_EQ(v["c"]["e"].as_double(), -2500.0);
+  EXPECT_EQ(v.u64("a"), 1u);
+  EXPECT_EQ(v.arr("b").size(), 3u);
+  EXPECT_EQ(lookup_error([&] { v.arr("b").obj(0); }),
+            "b[0]: expected object, got boolean");
+  EXPECT_EQ(lookup_error([&] { v.arr("b").obj(2); }),
+            "b[2]: expected object, got null");
+  EXPECT_EQ(v.obj("c").str("d"), "x\ny");
+  EXPECT_EQ(v.obj("c").f64("e"), -2500.0);
+}
+
+TEST(JsonParse, StrictLookupsNameThePathAndTheProblem) {
+  std::string err;
+  const JsonValue v = JsonParser::parse(
+      R"({"runs":[{"label":"x","threads":"abc","n":-1,"f":1.5,"ok":true,)"
+      R"("b":[null]}]})",
+      &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const JsonValue& run = v.arr("runs").obj(0);
+  EXPECT_TRUE(run.boolean("ok"));
+  EXPECT_EQ(lookup_error([&] { run.u64("tid"); }),
+            "runs[0]: missing member 'tid'");
+  EXPECT_EQ(lookup_error([&] { run.arr("threads"); }),
+            "runs[0].threads: expected array, got string");
+  EXPECT_EQ(lookup_error([&] { run.u64("n"); }),
+            "runs[0].n: expected unsigned integer, got -1");
+  EXPECT_EQ(lookup_error([&] { run.u64("f"); }),
+            "runs[0].f: expected unsigned integer, got 1.5");
+  EXPECT_EQ(lookup_error([&] { run.arr("b").obj(0); }),
+            "runs[0].b[0]: expected object, got null");
+  EXPECT_EQ(lookup_error([&] { run.arr("b").obj(1); }),
+            "runs[0].b: index 1 out of range (size 1)");
+  EXPECT_EQ(lookup_error([&] { v.objects("runs")[0].obj("label"); }),
+            "runs[0].label: expected object, got string");
+  EXPECT_EQ(lookup_error([&] { v.str("schema"); }),
+            "(root): missing member 'schema'");
+  EXPECT_EQ(lookup_error([&] { JsonParser::parse("[1]").str("schema"); }),
+            "(root): expected object, got array");
+  // find() is the optional lookup: absent is null, present is the member.
+  EXPECT_EQ(run.find("cc"), nullptr);
+  ASSERT_NE(run.find("label"), nullptr);
+  EXPECT_EQ(run.find("label")->type(), JsonValue::Type::kString);
 }
 
 TEST(JsonParse, MultiByteUtf8StringsSurvive) {
@@ -40,7 +87,7 @@ TEST(JsonParse, MultiByteUtf8StringsSurvive) {
   const std::string text = "{\"s\":\"\xe8\x91\x97 \xc3\xa9 \xf0\x9f\x98\x80\"}";
   const JsonValue v = JsonParser::parse(text, &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v["s"].as_string(), "\xe8\x91\x97 \xc3\xa9 \xf0\x9f\x98\x80");
+  EXPECT_EQ(v.str("s"), "\xe8\x91\x97 \xc3\xa9 \xf0\x9f\x98\x80");
 }
 
 TEST(JsonParse, TruncatedObjectFails) {
@@ -73,7 +120,7 @@ TEST(JsonParse, DuplicateKeysFail) {
   std::string ok_err;
   const JsonValue v = JsonParser::parse(R"({"a":{"a":1}})", &ok_err);
   EXPECT_TRUE(ok_err.empty()) << ok_err;
-  EXPECT_EQ(v["a"]["a"].as_u64(), 1u);
+  EXPECT_EQ(v.obj("a").u64("a"), 1u);
 }
 
 TEST(JsonParse, NonUtf8BytesFail) {
@@ -94,7 +141,7 @@ TEST(JsonParse, UnescapedControlCharactersFail) {
   std::string err;
   const JsonValue v = JsonParser::parse(R"({"a":"x\ny\u0001z"})", &err);
   EXPECT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v["a"].as_string(), std::string("x\ny\x01z"));
+  EXPECT_EQ(v.str("a"), std::string("x\ny\x01z"));
 }
 
 TEST(JsonParse, BadLiteralsAndNumbersFail) {

@@ -386,6 +386,29 @@ TEST(SetStats, HeatmapRendererShowsTargetedObjectAndGatesOnV5Block) {
   EXPECT_NE(html.find("adversary"), std::string::npos);
   EXPECT_EQ(html.find("http://"), std::string::npos);
   EXPECT_EQ(html.find("https://"), std::string::npos);
+
+  // Both views index every per-set column by set, so a level whose `sets`
+  // outgrew its columns is a JsonError naming the column, not a read past
+  // the column's end.
+  std::string text = tel.json("set_stats_test");
+  const std::string sets = std::to_string(cfg.l1_sets());
+  const std::string doubled = std::to_string(2 * cfg.l1_sets());
+  const std::string level = R"("level":"l1.c0","sets":)";
+  const std::size_t at = text.find(level + sets + ",");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at + level.size(), sets.size(), doubled);
+  const JsonValue bad = JsonParser::parse(text);
+  const auto expect_error = [&](auto render) {
+    try {
+      render();
+      ADD_FAILURE() << "expected a JsonError";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.what(), "runs[0].set_stats.levels[0].occupancy: expected " +
+                              doubled + " elements, got " + sets);
+    }
+  };
+  expect_error([&] { render_set_heatmaps(bad, "all", out); });
+  expect_error([&] { render_html(bad); });
 }
 
 }  // namespace

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/json_parse.h"
+#include "sim/invariants.h"
 
 namespace tsxhpc::sim {
 namespace {
@@ -136,13 +136,13 @@ TEST(SweepOrchestrator, SerialAndParallelMergesAreByteIdentical) {
       << "merged artifact must not depend on process sharding";
 
   std::string err;
-  const JsonValue doc = JsonParser::parse(serial, &err);
-  ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(doc["schema"].as_string(), "tsxhpc-sweep-v1");
-  ASSERT_EQ(doc["cells"].size(), 2u);
-  EXPECT_EQ(doc["cells"].at(1)["cell"].as_string(), "scheme=tsx/threads=2");
-  EXPECT_EQ(doc["cells"].at(1)["telemetry"]["schema"].as_string(),
-            "tsxhpc-telemetry-v8");
+  JsonValue doc;
+  ASSERT_TRUE(load_artifact(serial, doc, &err)) << err;
+  EXPECT_EQ(doc.str("schema"), "tsxhpc-sweep-v1");
+  ASSERT_EQ(doc.arr("cells").size(), 2u);
+  const JsonValue& cell = doc.arr("cells").obj(1);
+  EXPECT_EQ(cell.str("cell"), "scheme=tsx/threads=2");
+  EXPECT_EQ(cell.obj("telemetry").str("schema"), "tsxhpc-telemetry-v8");
 
   // Telemetry and merge writes are atomic (<path>.tmp + rename): a clean run
   // leaves no .tmp next to the merged artifacts or the per-cell telemetry.

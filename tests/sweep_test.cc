@@ -1,18 +1,21 @@
 // Unit coverage for the pure sweep pipeline (src/sim/sweep.h) and the grid
 // side of src/sim/report.h: spec validation, deterministic stable-ordered
 // cell expansion, byte-deterministic merging, grid report/pivot rendering,
-// and the grid diff's failure semantics (missing/extra cells and axis
-// mismatches fail; they are never skipped).
+// the grid diff's failure semantics (missing/extra cells and axis
+// mismatches fail; they are never skipped), and the loader's refusal of
+// any other telemetry schema version, flat or per cell.
 #include "sim/sweep.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "sim/json.h"
+#include "sim/invariants.h"
 #include "sim/json_parse.h"
 #include "sim/report.h"
+#include "sim/telemetry.h"
 
 namespace tsxhpc::sim {
 namespace {
@@ -52,78 +55,72 @@ std::string parse_spec_error(const std::string& text) {
   return err;
 }
 
-/// A minimal but report-compatible tsxhpc-telemetry-v4 artifact with one run.
-/// `schema` overrides the version string for cross-schema diff tests.
+/// Load through the one artifact loader (sim/invariants.h); fails the test
+/// on any load error.
+JsonValue load_ok(const std::string& text) {
+  std::string err;
+  JsonValue v;
+  EXPECT_TRUE(load_artifact(text, v, &err)) << err;
+  return v;
+}
+
+/// A complete telemetry artifact with one single-thread run: every key the
+/// invariant registry and the grid views read is present, and every
+/// registry rule reconciles. `schema` overrides the version string for the
+/// loader's schema tests.
 std::string make_telemetry(const std::string& label, std::uint64_t makespan,
                            double abort_rate_pct, double wasted_pct,
-                           const std::string& schema = "tsxhpc-telemetry-v4") {
-  JsonWriter w;
-  w.begin_object();
-  w.key("schema");
-  w.value(schema);
-  w.key("bench");
-  w.value("fig2_stamp");
-  w.key("runs");
-  w.begin_array();
-  w.begin_object();
-  w.key("label");
-  w.value(label);
-  w.key("num_threads");
-  w.value(std::uint64_t{2});
-  w.key("makespan");
-  w.value(makespan);
-  w.key("totals");
-  w.begin_object();
-  w.key("tx_started");
-  w.value(std::uint64_t{100});
-  w.key("tx_committed");
-  w.value(std::uint64_t{90});
-  w.key("tx_aborted");
-  w.value(std::uint64_t{10});
-  w.key("abort_rate_pct");
-  w.value(abort_rate_pct);
-  w.key("wasted_cycle_pct");
-  w.value(wasted_pct);
-  w.key("tx_cycles_committed");
-  w.value(std::uint64_t{9000});
-  w.key("tx_cycles_wasted");
-  w.value(std::uint64_t{1000});
-  w.key("cycles");
-  w.begin_object();
-  w.key("work");
-  w.value(std::uint64_t{4000});
-  w.key("tx_committed");
-  w.value(std::uint64_t{9000});
-  w.key("tx_wasted");
-  w.value(std::uint64_t{1000});
-  w.key("lock_wait");
-  w.value(std::uint64_t{500});
-  w.key("fallback");
-  w.value(std::uint64_t{300});
-  w.key("mem_stall");
-  w.value(std::uint64_t{200});
-  w.key("total");
-  w.value(std::uint64_t{15000});
-  w.end_object();
-  w.end_object();
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  return w.str();
+                           const std::string& schema = kTelemetrySchema) {
+  // The one thread's counters are also the run totals.
+  char counters[1024];
+  std::snprintf(
+      counters, sizeof(counters),
+      R"("tx_started":100,"tx_committed":90,"tx_aborted":10,)"
+      R"("abort_rate_pct":%g,"aborts_by_cause":{"conflict":10},)"
+      R"("tx_cycles_committed":9000,"tx_cycles_wasted":1000,)"
+      R"("wasted_cycle_pct":%g,"cycles":{"work":4000,"tx_committed":9000,)"
+      R"("tx_wasted":1000,"lock_wait":500,"fallback":300,"mem_stall":200,)"
+      R"("total":15000},"backoff_cycles":0,)"
+      R"("mem_stall_levels":{"l1":0,"xfer":40,"llc":60,"dram":100},)"
+      R"("mem_accesses":200,"l1_hits":160,"l1_misses":40,"llc_hits":20,)"
+      R"("llc_misses":10,"llc_evictions":4,"xfers_in":10,)"
+      R"("slice_hops":0,"socket_hops":0,"hop_cycles":0)",
+      abort_rate_pct, wasted_pct);
+  return R"({"schema":")" + schema +
+         R"(","bench":"fig2_stamp","runs":[{"label":")" + label +
+         R"(","backend":"fiber","num_threads":1,"complete":true,)"
+         R"("makespan":)" + std::to_string(makespan) +
+         R"(,"totals":{)" + counters + "}," +
+         R"("cache_levels":[{"level":"l1","served":160},)"
+         R"({"level":"xfer","served":10},{"level":"llc","served":20},)"
+         R"({"level":"dram","served":10}],)"
+         R"("topology":{"sockets":1,"cores_per_socket":4,"slices":1,)"
+         R"("map":"compact","lat_hop_slice":12,"lat_hop_socket":140,)"
+         R"("slice_stats":[{"hits":20,"misses":10,"evictions":4,"xfers":10}],)"
+         R"("socket_stats":[{"accesses":200,"dram_local":10,)"
+         R"("dram_remote":0}]},"threads":[{"tid":0,)" + counters +
+         R"(,"end_cycle":15000}],"locks":[],)"
+         R"("samples":{"interval_cycles":32768,"count":0}}]})";
+}
+
+/// The merged artifact text for `spec`, each cell's telemetry from
+/// `per_cell`.
+template <typename Fn>
+std::string merge_grid(const SweepSpec& spec, Fn per_cell) {
+  const std::vector<SweepCell> cells = expand_cells(spec);
+  std::vector<std::string> artifacts;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    artifacts.push_back(per_cell(cells[i], i));
+  }
+  return merge_sweep(spec, "quick", spec.args_for_scale("quick"), cells,
+                     artifacts);
 }
 
 /// Build a merged artifact for kSpecText with per-cell makespans/rates
 /// supplied by the callback.
 template <typename Fn>
 JsonValue make_grid(const SweepSpec& spec, Fn per_cell) {
-  const std::vector<SweepCell> cells = expand_cells(spec);
-  std::vector<std::string> artifacts;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    artifacts.push_back(per_cell(cells[i], i));
-  }
-  return parse_ok(
-      merge_sweep(spec, "quick", spec.args_for_scale("quick"), cells,
-                  artifacts));
+  return load_ok(merge_grid(spec, per_cell));
 }
 
 TEST(SweepSpec, ParsesAndValidates) {
@@ -207,19 +204,19 @@ TEST(SweepMerge, ByteDeterministicAndWellFormed) {
   EXPECT_EQ(merged, merge_sweep(spec, "quick", eff, cells, artifacts))
       << "merge must be byte-deterministic";
 
-  const JsonValue doc = parse_ok(merged);
+  const JsonValue doc = load_ok(merged);
   ASSERT_TRUE(is_sweep_doc(doc));
-  EXPECT_EQ(doc["schema"].as_string(), kSweepSchema);
-  EXPECT_EQ(doc["sweep"].as_string(), "mini");
-  EXPECT_EQ(doc["scale"].as_string(), "quick");
-  ASSERT_EQ(doc["cells"].size(), 6u);
-  const JsonValue& cell = doc["cells"].at(4);
-  EXPECT_EQ(cell["cell"].as_string(), "scheme=tsx/threads=2");
-  EXPECT_EQ(cell["coords"]["scheme"].as_string(), "tsx");
-  EXPECT_EQ(cell["coords"]["threads"].as_string(), "2");
+  EXPECT_EQ(doc.str("schema"), kSweepSchema);
+  EXPECT_EQ(doc.str("sweep"), "mini");
+  EXPECT_EQ(doc.str("scale"), "quick");
+  ASSERT_EQ(doc.arr("cells").size(), 6u);
+  const JsonValue& cell = doc.arr("cells").obj(4);
+  EXPECT_EQ(cell.str("cell"), "scheme=tsx/threads=2");
+  EXPECT_EQ(cell.obj("coords").str("scheme"), "tsx");
+  EXPECT_EQ(cell.obj("coords").str("threads"), "2");
   // The cell's telemetry is spliced verbatim: same schema, same run label.
-  EXPECT_EQ(cell["telemetry"]["schema"].as_string(), "tsxhpc-telemetry-v4");
-  EXPECT_EQ(cell["telemetry"]["runs"].at(0)["label"].as_string(),
+  EXPECT_EQ(cell.obj("telemetry").str("schema"), kTelemetrySchema);
+  EXPECT_EQ(cell.obj("telemetry").arr("runs").obj(0).str("label"),
             "scheme=tsx/threads=2");
 }
 
@@ -321,45 +318,40 @@ TEST(SweepDiff, EmbeddedRunRegressionIsAFailure) {
   EXPECT_NE(out.find("scheme=tsx/threads=1"), std::string::npos) << out;
 }
 
-TEST(RenderDiff, SchemaMismatchIsACountedFailureNamingBothVersions) {
-  // A v4 baseline diffed against a v5 artifact (or any schema pair) must be
-  // a loud, counted failure — never a silent pass on a stale baseline.
-  const JsonValue base =
-      parse_ok(make_telemetry("a", 1000, 5.0, 10.0, "tsxhpc-telemetry-v4"));
-  const JsonValue cur =
-      parse_ok(make_telemetry("a", 1000, 5.0, 10.0, "tsxhpc-telemetry-v7"));
-  std::string out;
-  EXPECT_EQ(render_diff(base, cur, DiffThresholds{}, out), 1) << out;
-  EXPECT_NE(out.find("MISMATCH"), std::string::npos) << out;
-  EXPECT_NE(out.find("tsxhpc-telemetry-v4"), std::string::npos) << out;
-  EXPECT_NE(out.find("tsxhpc-telemetry-v7"), std::string::npos) << out;
-  // Reverse direction fails identically; same schema passes.
-  out.clear();
-  EXPECT_EQ(render_diff(cur, base, DiffThresholds{}, out), 1) << out;
-  out.clear();
-  EXPECT_EQ(render_diff(cur, cur, DiffThresholds{}, out), 0) << out;
+TEST(LoadArtifact, OtherTelemetrySchemaIsRejectedNamingBothVersions) {
+  // An artifact of another telemetry version never loads, so no diff can
+  // silently compare across versions: the fix is refreshing the stale side.
+  for (const char* other : {"tsxhpc-telemetry-v4", "tsxhpc-telemetry-v7"}) {
+    JsonValue doc;
+    std::string err;
+    EXPECT_FALSE(
+        load_artifact(make_telemetry("a", 1000, 5.0, 10.0, other), doc, &err));
+    EXPECT_EQ(err, std::string("schema: expected '") + kTelemetrySchema +
+                       "', got '" + other + "'");
+  }
+  load_ok(make_telemetry("a", 1000, 5.0, 10.0));
 }
 
-TEST(SweepDiff, EmbeddedSchemaMismatchIsAPerCellFailure) {
+TEST(LoadArtifact, GridCellWithOtherSchemaIsRejectedNamingTheCell) {
   const SweepSpec spec = parse_spec_ok(kSpecText);
-  const JsonValue base = make_grid(spec, [](const SweepCell& c, std::size_t) {
-    return make_telemetry(c.label, 1000, 5.0, 10.0, "tsxhpc-telemetry-v4");
-  });
-  const JsonValue cur = make_grid(spec, [](const SweepCell& c, std::size_t) {
-    return make_telemetry(c.label, 1000, 5.0, 10.0, "tsxhpc-telemetry-v7");
-  });
-  std::string out;
-  // Every cell embeds a mismatched telemetry schema: one failure per cell,
-  // each naming both versions.
-  EXPECT_EQ(render_sweep_diff(base, cur, DiffThresholds{}, out), 6) << out;
-  EXPECT_NE(out.find("tsxhpc-telemetry-v4"), std::string::npos) << out;
-  EXPECT_NE(out.find("tsxhpc-telemetry-v7"), std::string::npos) << out;
-  EXPECT_NE(out.find("scheme=tsx/threads=4"), std::string::npos) << out;
+  const std::string grid =
+      merge_grid(spec, [](const SweepCell& c, std::size_t i) {
+        return make_telemetry(c.label, 1000, 5.0, 10.0,
+                              i == 5 ? "tsxhpc-telemetry-v7"
+                                     : kTelemetrySchema);
+      });
+  JsonValue doc;
+  std::string err;
+  EXPECT_FALSE(load_artifact(grid, doc, &err));
+  EXPECT_EQ(err, std::string("cells[5].telemetry.schema: expected '") +
+                     kTelemetrySchema +
+                     "', got 'tsxhpc-telemetry-v7' (cell "
+                     "scheme=tsx/threads=4)");
 }
 
 TEST(RenderDiff, LabelSetMismatchFailsBothDirections) {
-  const JsonValue base = parse_ok(make_telemetry("a", 1000, 5.0, 10.0));
-  const JsonValue cur = parse_ok(make_telemetry("b", 1000, 5.0, 10.0));
+  const JsonValue base = load_ok(make_telemetry("a", 1000, 5.0, 10.0));
+  const JsonValue cur = load_ok(make_telemetry("b", 1000, 5.0, 10.0));
   // Run "a" vanished and run "b" appeared: two failures, zero skips.
   std::string out;
   EXPECT_EQ(render_diff(base, cur, DiffThresholds{}, out), 2) << out;

@@ -1,8 +1,7 @@
 // Tests for the HLE (XACQUIRE/XRELEASE) interface and the transactional
-// cycle-accounting / perf-report facilities.
+// cycle-accounting facilities.
 #include <gtest/gtest.h>
 
-#include "sim/perf.h"
 #include "sync/elision.h"
 #include "sync/hle.h"
 
@@ -129,28 +128,6 @@ TEST(CycleAccounting, NestedRegionsCountOnce) {
   EXPECT_GE(t.tx_cycles_committed, 1500u);
   EXPECT_LT(t.tx_cycles_committed, 2200u) << "not double-counted";
   EXPECT_EQ(t.tx_cycles_wasted, 0u);
-}
-
-TEST(PerfReport, ContainsTheHeadlineCounters) {
-  Machine m;
-  auto cell = Shared<std::uint64_t>::alloc(m, 0);
-  RunStats rs = m.run({.threads = 2, .body = [&](Context& c) {
-    for (int i = 0; i < 20; ++i) {
-      try {
-        c.xbegin();
-        cell.store(c, cell.load(c) + 1);
-        c.compute(200);
-        c.xend();
-      } catch (const sim::TxAbort&) {
-      }
-    }
-  }});
-  const std::string report = sim::perf_report(rs);
-  for (const char* key :
-       {"tx-start", "tx-commit", "tx-abort", "cycles-t", "cycles-ct",
-        "tx-abort.conflict", "makespan-cycles"}) {
-    EXPECT_NE(report.find(key), std::string::npos) << key;
-  }
 }
 
 }  // namespace

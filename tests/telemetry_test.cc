@@ -1,6 +1,6 @@
 // Tests for the structured telemetry layer: determinism of the exported
-// artifacts, zero observer effect on simulated timing, attempt-ring
-// bounding, and the perf_report() regressions fixed alongside.
+// artifacts, zero observer effect on simulated timing, and attempt-ring
+// bounding.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include "sim/invariants.h"
 #include "sim/json_parse.h"
 #include "sim/machine.h"
-#include "sim/perf.h"
 #include "sim/shared.h"
 #include "sim/telemetry.h"
 #include "sync/elision.h"
@@ -198,83 +197,6 @@ TEST(Telemetry, SampleColumnsSumToRunTotals) {
   contended_run(&tel, 4, 60, "sums");
   ASSERT_FALSE(tel.runs().at(0).samples.empty());
   EXPECT_EQ(to_string(check_invariants(tel)), "");
-}
-
-TEST(PerfReport, GoldenSmallCounters) {
-  RunStats rs;
-  rs.threads.resize(1);
-  ThreadStats& t = rs.threads[0];
-  t.tx_started = 10;
-  t.tx_committed = 8;
-  t.tx_aborted[static_cast<size_t>(AbortCause::kConflict)] = 2;
-  t.tx_cycles_committed = 800;
-  t.tx_cycles_wasted = 200;
-  t.tx_read_lines_evicted = 3;
-  t.l1_hits = 100;
-  t.l1_misses = 7;
-  t.atomics = 4;
-  t.syscalls = 1;
-  rs.makespan = 12345;
-
-  const std::string expected =
-      "            10      tx-start\n"
-      "             8      tx-commit\n"
-      "             2      tx-abort                  #  20.0% of starts\n"
-      "             2      tx-abort.conflict\n"
-      "             0      tx-abort.capacity\n"
-      "             0      tx-abort.explicit\n"
-      "             0      tx-abort.syscall\n"
-      "             0      tx-abort.capacity-read    # secondary-tracker "
-      "losses\n"
-      "          1000      cycles-t                  # cycles in "
-      "transactions\n"
-      "           800      cycles-ct                 # committed-transaction "
-      "cycles\n"
-      "           200      cycles-wasted             #  20.0% of "
-      "transactional cycles\n"
-      "             3      tx-read-lines-evicted     # secondary tracking\n"
-      "           100      l1-hits\n"
-      "             7      l1-misses\n"
-      "             4      atomics\n"
-      "             1      syscalls\n"
-      "         12345      makespan-cycles\n"
-      "  abort rate: 20.00% of started transactions\n"
-      "  wasted cycles: 20.00% of transactional cycles\n";
-  EXPECT_EQ(perf_report(rs), expected);
-}
-
-TEST(PerfReport, DoesNotTruncateWithLargeCounters) {
-  // The old implementation rendered into a fixed 1536-byte buffer; with
-  // 20-digit counters the report exceeds that and the tail was cut off.
-  RunStats rs;
-  rs.threads.resize(1);
-  ThreadStats& t = rs.threads[0];
-  t.tx_started = 18446744073709551615ULL;
-  t.tx_committed = 18446744073709551615ULL;
-  for (auto& a : t.tx_aborted) a = 1000000000000000000ULL;
-  t.tx_cycles_committed = 18446744073709551615ULL;
-  t.tx_read_lines_evicted = 18446744073709551615ULL;
-  t.l1_hits = 18446744073709551615ULL;
-  t.l1_misses = 18446744073709551615ULL;
-  t.atomics = 18446744073709551615ULL;
-  t.syscalls = 18446744073709551615ULL;
-  rs.makespan = 18446744073709551615ULL;
-
-  const std::string report = perf_report(rs);
-  // All 19 lines survive (17 counters + 2 derived), none cut mid-way.
-  std::size_t lines = 0;
-  for (char c : report) lines += c == '\n';
-  EXPECT_EQ(lines, 19u);
-  // Every section survives, down to the final line.
-  for (const char* label :
-       {"tx-start", "tx-commit", "tx-abort.conflict", "tx-abort.capacity",
-        "cycles-t", "cycles-ct", "cycles-wasted", "l1-hits", "l1-misses",
-        "atomics", "syscalls", "makespan-cycles"}) {
-    EXPECT_NE(report.find(label), std::string::npos) << label;
-  }
-  EXPECT_EQ(report.back(), '\n');
-  EXPECT_NE(report.find("18446744073709551615      makespan-cycles\n"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -34,8 +34,8 @@
 
 #include "bench/args.h"
 #include "sim/fsio.h"
+#include "sim/invariants.h"
 #include "sim/json_parse.h"
-#include "sim/report.h"
 #include "sim/sweep.h"
 
 namespace {
@@ -233,14 +233,11 @@ class Orchestrator {
       *error = "missing telemetry artifact " + path;
       return false;
     }
-    std::string parse_err;
-    const JsonValue doc = JsonParser::parse(text, &parse_err);
-    if (doc.is_null()) {
-      *error = path + ": " + parse_err;
-      return false;
-    }
-    if (!tsxhpc::sim::is_telemetry_doc(doc)) {
-      *error = path + " is not a tsxhpc-telemetry artifact";
+    // The loader tsx_report uses, so every merged cell loads there too.
+    JsonValue doc;
+    std::string load_err;
+    if (!tsxhpc::sim::load_artifact(text, doc, &load_err)) {
+      *error = path + ": " + load_err;
       return false;
     }
     return true;

@@ -16,15 +16,20 @@
 //                                         Grid artifacts diff cell-by-cell.
 //   tsx_report --top=N <artifact.json>    show N conflict lines (default 10)
 //   tsx_report --sets[=level] <artifact.json>
-//                                         per-set heatmaps from a v5
-//                                         artifact's set_stats block
-//                                         (level: all, l1, llc, l1.c0, ...)
+//                                         per-set heatmaps from the
+//                                         set_stats block of a --set-stats
+//                                         run (level: all, l1, llc, l1.c0,
+//                                         ...)
 //   tsx_report --html=<out.html> <artifact.json>
 //                                         write a self-contained HTML
 //                                         dashboard (inline CSS/SVG)
 //
 // Exit codes: 0 ok, 1 an invariant finding (report mode) or a regression
-// or mismatch (diff mode), 2 usage or I/O error.
+// or mismatch (diff mode), 2 a usage or I/O error or an artifact that does
+// not load: unparsable, of another schema version (a flat artifact or any
+// sweep cell), or with a missing or mistyped field. Then stderr reads
+// "tsx_report: <file>: <path>: <problem>" and stdout stays empty, in every
+// mode.
 #include <cstdio>
 #include <string>
 
@@ -36,24 +41,16 @@
 
 namespace {
 
-bool load_doc(const std::string& path, tsxhpc::sim::JsonValue& doc) {
-  std::string text;
-  if (!tsxhpc::sim::read_file(path, text)) {
+namespace sim = tsxhpc::sim;
+
+bool load_doc(const std::string& path, sim::JsonValue& doc) {
+  std::string text, err;
+  if (!sim::read_file(path, text)) {
     std::fprintf(stderr, "tsx_report: cannot read %s\n", path.c_str());
     return false;
   }
-  std::string err;
-  doc = tsxhpc::sim::JsonParser::parse(text, &err);
-  if (doc.is_null()) {
-    std::fprintf(stderr, "tsx_report: %s: parse error: %s\n", path.c_str(),
-                 err.c_str());
-    return false;
-  }
-  if (!tsxhpc::sim::is_telemetry_doc(doc) && !tsxhpc::sim::is_sweep_doc(doc)) {
-    std::fprintf(stderr,
-                 "tsx_report: %s is neither a tsxhpc-telemetry nor a "
-                 "tsxhpc-sweep artifact\n",
-                 path.c_str());
+  if (!sim::load_artifact(text, doc, &err)) {
+    std::fprintf(stderr, "tsx_report: %s: %s\n", path.c_str(), err.c_str());
     return false;
   }
   return true;
@@ -66,7 +63,7 @@ int main(int argc, char** argv) {
       "tsx_report", "analyze/diff tsxhpc telemetry and sweep JSON artifacts");
   bool diff = false, cli_markdown = false;
   std::size_t top = 10;
-  tsxhpc::sim::DiffThresholds thr;
+  sim::DiffThresholds thr;
   std::string path0, path1, pivot, metric = "abort-rate", sets, html;
   args.add_bool("diff", "compare two artifacts; exit 1 on regression or "
                         "label/axis-set mismatch", &diff);
@@ -108,73 +105,72 @@ int main(int argc, char** argv) {
     return args.fail("missing required argument <artifact>");
   }
 
-  if (diff) {
-    if (path1.empty()) {
-      return args.fail("--diff needs two artifacts: <base.json> <cur.json>");
-    }
-    tsxhpc::sim::JsonValue base, cur;
-    if (!load_doc(path0, base) || !load_doc(path1, cur)) return 2;
-    const bool base_sweep = tsxhpc::sim::is_sweep_doc(base);
-    const bool cur_sweep = tsxhpc::sim::is_sweep_doc(cur);
-    if (base_sweep != cur_sweep) {
-      std::fprintf(stderr,
-                   "tsx_report: cannot diff a sweep grid against a flat "
-                   "telemetry artifact (%s vs %s)\n",
-                   path0.c_str(), path1.c_str());
-      return 2;
-    }
-    std::string out;
-    const int failures =
-        base_sweep ? tsxhpc::sim::render_sweep_diff(base, cur, thr, out)
-                   : tsxhpc::sim::render_diff(base, cur, thr, out);
-    std::fputs(out.c_str(), stdout);
-    return failures > 0 ? 1 : 0;
+  if (diff && path1.empty()) {
+    return args.fail("--diff needs two artifacts: <base.json> <cur.json>");
   }
-
-  if (!path1.empty()) {
+  if (!diff && !path1.empty()) {
     return args.fail("exactly one artifact expected (or pass --diff)");
   }
-  tsxhpc::sim::JsonValue doc;
-  if (!load_doc(path0, doc)) return 2;
-  if (!html.empty()) {
-    const std::string page = tsxhpc::sim::render_html(doc);
-    if (!tsxhpc::sim::atomic_write_file(html, page)) {
-      std::fprintf(stderr, "tsx_report: cannot write %s\n", html.c_str());
-      return 2;
-    }
-    std::printf("wrote %s (%zu bytes)\n", html.c_str(), page.size());
-    if (sets.empty()) return 0;
-  }
-  if (!sets.empty()) {
-    if (!tsxhpc::sim::is_telemetry_doc(doc)) {
-      return args.fail("--sets needs a telemetry artifact (sweep grids embed "
-                       "per-cell telemetry; report those individually)");
-    }
+  sim::JsonValue doc, cur;
+  if (!load_doc(path0, doc) || (diff && !load_doc(path1, cur))) return 2;
+  // Every renderer builds its whole output before anything is printed, so
+  // a field the loader did not read still exits 2 with empty stdout.
+  try {
+    const bool sweep = sim::is_sweep_doc(doc);
     std::string out;
-    const bool ok = tsxhpc::sim::render_set_heatmaps(doc, sets, out);
-    std::fputs(out.c_str(), stdout);
-    return ok ? 0 : 2;
-  }
-  if (!pivot.empty()) {
-    if (!tsxhpc::sim::is_sweep_doc(doc)) {
-      return args.fail("--pivot needs a tsxhpc-sweep-v1 grid artifact");
+    int rc = 0;
+    if (diff) {
+      if (sweep != sim::is_sweep_doc(cur)) {
+        std::fprintf(stderr,
+                     "tsx_report: cannot diff a sweep grid against a flat "
+                     "telemetry artifact (%s vs %s)\n",
+                     path0.c_str(), path1.c_str());
+        return 2;
+      }
+      const int failures = sweep ? sim::render_sweep_diff(doc, cur, thr, out)
+                                 : sim::render_diff(doc, cur, thr, out);
+      rc = failures > 0 ? 1 : 0;
+    } else if (!sets.empty()) {
+      if (sweep) {
+        return args.fail("--sets needs a telemetry artifact (sweep grids "
+                         "embed per-cell telemetry; report those "
+                         "individually)");
+      }
+      rc = sim::render_set_heatmaps(doc, sets, out) ? 0 : 2;
+    } else if (!html.empty()) {
+      // The page is the whole output.
+    } else if (!pivot.empty()) {
+      if (!sweep) {
+        return args.fail("--pivot needs a tsxhpc-sweep-v1 grid artifact");
+      }
+      const std::size_t comma = pivot.find(',');
+      if (comma == std::string::npos) {
+        return args.fail("--pivot wants two axis names: --pivot=axisA,axisB");
+      }
+      rc = sim::render_sweep_pivot(doc, pivot.substr(0, comma),
+                                   pivot.substr(comma + 1), metric, out)
+               ? 0
+               : 2;
+    } else {
+      sim::ReportOptions opt;
+      opt.top_lines = top;
+      out = sweep ? sim::render_sweep_report(doc)
+                  : sim::render_report(doc, opt);
+      rc = sim::check_invariants(doc).empty() ? 0 : 1;
     }
-    const std::size_t comma = pivot.find(',');
-    if (comma == std::string::npos) {
-      return args.fail("--pivot wants two axis names: --pivot=axisA,axisB");
+    if (!diff && !html.empty()) {
+      const std::string page = sim::render_html(doc);
+      if (!sim::atomic_write_file(html, page)) {
+        std::fprintf(stderr, "tsx_report: cannot write %s\n", html.c_str());
+        return 2;
+      }
+      std::printf("wrote %s (%zu bytes)\n", html.c_str(), page.size());
     }
-    std::string out;
-    const bool ok = tsxhpc::sim::render_sweep_pivot(
-        doc, pivot.substr(0, comma), pivot.substr(comma + 1), metric, out);
     std::fputs(out.c_str(), stdout);
-    return ok ? 0 : 2;
+    return rc;
+  } catch (const sim::JsonError& e) {
+    std::fprintf(stderr, "tsx_report: %s: %s\n",
+                 (diff ? path0 + ", " + path1 : path0).c_str(), e.what());
+    return 2;
   }
-  if (tsxhpc::sim::is_sweep_doc(doc)) {
-    std::fputs(tsxhpc::sim::render_sweep_report(doc).c_str(), stdout);
-  } else {
-    tsxhpc::sim::ReportOptions opt;
-    opt.top_lines = top;
-    std::fputs(tsxhpc::sim::render_report(doc, opt).c_str(), stdout);
-  }
-  return tsxhpc::sim::check_invariants(doc).empty() ? 0 : 1;
 }
