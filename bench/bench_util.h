@@ -235,8 +235,10 @@ class BenchIo {
       // code path tsx_report uses on the artifact file.
       std::string err;
       sim::JsonValue doc;
-      if (sim::load_artifact(telemetry_->json(bench_name_), doc, &err)) {
-        std::fputs(sim::render_report(doc).c_str(), stdout);
+      std::vector<sim::Finding> findings;
+      if (sim::load_artifact(telemetry_->json(bench_name_), doc, &err,
+                             &findings)) {
+        std::fputs(sim::render_report(doc, findings).c_str(), stdout);
       } else {
         std::fprintf(stderr, "telemetry: --report: %s\n", err.c_str());
         rc = 1;

@@ -14,6 +14,10 @@
 // A level tracks *which lines are resident* (for latency, capacity and
 // coherence), not data values; values live in SharedHeap / the write
 // buffers.
+//
+// Storage is a structure of arrays: a packed tag array (one line per way,
+// an invalid-way sentinel when empty) that lookups and victim choice scan,
+// a parallel LRU array, and the Entry payload per way.
 #pragma once
 
 #include <cstdint>
@@ -77,23 +81,24 @@ struct SetCounters {
 
 class CacheLevel {
  public:
-  /// One resident line. The transactional marks are used by L1 instances,
+  /// Payload of one way. The transactional marks are used by L1 instances,
   /// the directory fields by the LLC instance; unused fields stay at their
-  /// defaults and cost nothing. Widest fields first, so an entry packs into
-  /// 64 bytes.
+  /// defaults. The way's line and recency live in the level's tag and LRU
+  /// arrays, not here.
   struct Entry {
-    Addr line = 0;
-    std::uint64_t lru = 0;
     ThreadMask tx_readers = 0;
     CoreMask sharers = 0;     // directory: cores with a copy
     TxMasks tx_sets;          // directory: live tx readers/writers
     ThreadId tx_writer = -1;
     int dirty_core = -1;      // directory: core holding the line dirty
-    bool valid = false;
+    /// L1 only: the line's slot in its owning LLC slice, valid while the
+    /// L1 copy is resident (inclusion keeps the LLC copy in place).
+    std::uint32_t llc_slot = 0;
   };
 
   CacheLevel(std::uint32_t sets, std::uint32_t ways)
-      : sets_(sets), ways_(ways), entries_(sets * ways) {
+      : sets_(sets), ways_(ways), tags_(sets * ways, kInvalid),
+        lru_(sets * ways, 0), entries_(sets * ways) {
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0) {
       throw SimError("cache set count must be a nonzero power of two");
     }
@@ -104,46 +109,65 @@ class CacheLevel {
   /// entry with transactional ownership bits when requested (L1 use).
   CacheTouch touch(Addr line, ThreadId tid, bool tx_write, bool tx_read) {
     CacheTouch r;
-    Entry* slot = find(line);
-    if (slot != nullptr) {
+    Entry* e = find(line);
+    if (e != nullptr) {
       r.hit = true;
+      promote(e);
     } else {
-      slot = victim(line);
-      if (slot->valid) {
-        r.evicted = true;
-        r.evicted_line = slot->line;
-        r.evicted_tx_writer = slot->tx_writer;
-        r.evicted_tx_readers = slot->tx_readers;
-        r.evicted_dirty_core = slot->dirty_core;
-        r.evicted_sharers = slot->sharers;
-        r.evicted_tx_sets = slot->tx_sets;
-      }
-      slot->valid = true;
-      slot->line = line;
-      slot->tx_writer = -1;
-      slot->tx_readers = 0;
-      slot->dirty_core = -1;
-      slot->sharers = 0;
-      slot->tx_sets = TxMasks{};
+      e = &fill(line, r);
     }
-    if (tx_write) slot->tx_writer = tid;
-    if (tx_read) slot->tx_readers |= ThreadMask{1} << tid;
-    slot->lru = ++tick_;
+    mark(*e, tid, tx_write, tx_read);
     return r;
+  }
+
+  /// Allocate absent `line` in its set's victim way as most-recently-used,
+  /// reporting a displaced line in `r`. Returns the fresh entry.
+  Entry& fill(Addr line, CacheTouch& r) {
+    const std::uint32_t slot = victim(line);
+    Entry& e = entries_[slot];
+    if (tags_[slot] != kInvalid) {
+      r.evicted = true;
+      r.evicted_line = tags_[slot];
+      r.evicted_tx_writer = e.tx_writer;
+      r.evicted_tx_readers = e.tx_readers;
+      r.evicted_dirty_core = e.dirty_core;
+      r.evicted_sharers = e.sharers;
+      r.evicted_tx_sets = e.tx_sets;
+    }
+    tags_[slot] = line;
+    lru_[slot] = ++tick_;
+    e = Entry{};
+    return e;
+  }
+
+  /// Record `tid`'s transactional write or read of the entry's line.
+  static void mark(Entry& e, ThreadId tid, bool tx_write, bool tx_read) {
+    if (tx_write) e.tx_writer = tid;
+    if (tx_read) e.tx_readers |= ThreadMask{1} << tid;
   }
 
   /// Resident entry for `line` without disturbing LRU order, or null. The
   /// LLC uses this to consult/update directory state.
   Entry* find(Addr line) {
-    Entry* base = &entries_[set_of(line) * ways_];
+    const std::uint32_t base = set_of(line) * ways_;
+    const Addr* tags = &tags_[base];
     for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].line == line) return &base[w];
+      if (tags[w] == line) return &entries_[base + w];
     }
     return nullptr;
   }
 
+  /// The entry in `slot` if it holds `line`, else null: the check behind
+  /// every use of an L1 entry's llc_slot.
+  Entry* at(std::uint32_t slot, Addr line) {
+    return tags_[slot] == line ? &entries_[slot] : nullptr;
+  }
+  std::uint32_t slot_of(const Entry& e) const {
+    return static_cast<std::uint32_t>(&e - entries_.data());
+  }
+
   /// Move an entry returned by find() to most-recently-used.
-  void promote(Entry* e) { e->lru = ++tick_; }
+  void promote(Entry* e) { lru_[slot_of(*e)] = ++tick_; }
 
   bool contains(Addr line) const {
     return const_cast<CacheLevel*>(this)->find(line) != nullptr;
@@ -154,23 +178,21 @@ class CacheLevel {
   /// back-invalidations (inclusion) from no-ops can count them.
   bool invalidate(Addr line) {
     if (Entry* e = find(line)) {
-      e->valid = false;
+      tags_[slot_of(*e)] = kInvalid;
       return true;
     }
     return false;
   }
 
-  /// Clear the transactional marks `tid` holds on `line` (on commit or
-  /// abort). Aborts additionally invalidate a line `tid` wrote: its
-  /// speculative data was never real, and Haswell discards it.
-  void clear_tx_marks(Addr line, ThreadId tid, bool invalidate_writes) {
-    Entry* e = find(line);
-    if (e == nullptr) return;
-    if (e->tx_writer == tid) {
-      e->tx_writer = -1;
-      if (invalidate_writes) e->valid = false;
+  /// Clear the transactional marks `tid` holds on a resident entry (on
+  /// commit or abort). Aborts additionally invalidate a line `tid` wrote:
+  /// its speculative data was never real, and Haswell discards it.
+  void clear_tx_marks(Entry& e, ThreadId tid, bool invalidate_writes) {
+    if (e.tx_writer == tid) {
+      e.tx_writer = -1;
+      if (invalidate_writes) tags_[slot_of(e)] = kInvalid;
     }
-    e->tx_readers &= ~(ThreadMask{1} << tid);
+    e.tx_readers &= ~(ThreadMask{1} << tid);
   }
 
   /// Number of valid resident lines (testing hook; also the bound the
@@ -178,8 +200,7 @@ class CacheLevel {
   /// exists on resident LLC lines).
   std::size_t resident_lines() const {
     std::size_t n = 0;
-    for (const auto& e : entries_)
-      if (e.valid) ++n;
+    for (Addr tag : tags_) n += tag != kInvalid;
     return n;
   }
 
@@ -187,8 +208,9 @@ class CacheLevel {
   /// writer (testing hook).
   std::size_t tx_tracked_lines() const {
     std::size_t n = 0;
-    for (const auto& e : entries_)
-      if (e.valid && e.tx_sets.any()) ++n;
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      n += tags_[i] != kInvalid && entries_[i].tx_sets.any();
+    }
     return n;
   }
 
@@ -213,21 +235,25 @@ class CacheLevel {
   /// End-of-run occupancy snapshot: valid resident lines per set (0..ways).
   std::vector<std::uint32_t> occupancy_by_set() const {
     std::vector<std::uint32_t> occ(sets_, 0);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].valid) ++occ[i / ways_];
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      if (tags_[i] != kInvalid) ++occ[i / ways_];
     }
     return occ;
   }
 
  private:
+  /// Tag of an empty way. Lines are byte addresses divided by the line
+  /// size, so no real line reaches it.
+  static constexpr Addr kInvalid = ~Addr{0};
 
-  /// LRU victim within the set; prefers invalid ways.
-  Entry* victim(Addr line) {
-    Entry* base = &entries_[set_of(line) * ways_];
-    Entry* best = &base[0];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (!base[w].valid) return &base[w];
-      if (base[w].lru < best->lru) best = &base[w];
+  /// Victim slot within the set of `line`: the first invalid way, else the
+  /// first least-recently-used one.
+  std::uint32_t victim(Addr line) const {
+    const std::uint32_t base = set_of(line) * ways_;
+    std::uint32_t best = base;
+    for (std::uint32_t s = base; s < base + ways_; ++s) {
+      if (tags_[s] == kInvalid) return s;
+      if (lru_[s] < lru_[best]) best = s;
     }
     return best;
   }
@@ -235,7 +261,9 @@ class CacheLevel {
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
-  std::vector<Entry> entries_;
+  std::vector<Addr> tags_;            // line per way, kInvalid when empty
+  std::vector<std::uint64_t> lru_;    // tick of each way's last touch
+  std::vector<Entry> entries_;        // payload per way
   std::vector<SetCounters> set_stats_;  // empty unless set-stats is enabled
 };
 

@@ -61,15 +61,11 @@ void Engine::switch_from(ThreadId t, ThreadId next) {
   on_resumed(t);
 }
 
-void Engine::advance(ThreadId t, Cycles cycles) {
-  clocks_[t] += cycles;
+void Engine::advance_slow(ThreadId t) {
   if (cfg_.max_cycles != 0 && clocks_[t] > cfg_.max_cycles && !stopping_) {
     throw SimError("thread " + std::to_string(t) +
                    " exceeded max_cycles (livelock guard)");
   }
-  // Fast path: still within quantum of the earliest runnable peer.
-  if (clocks_[t] <= deadline_ && !stopping_) return;
-
   if (stopping_) {
     // Teardown: if this call came from a destructor unwinding an
     // EngineStop, swallowing it keeps the unwind alive; otherwise join the

@@ -39,8 +39,16 @@ class Engine {
   // --- Called from simulated threads while they hold the token ------------
 
   /// Advance t's virtual clock; may hand the token to another thread and
-  /// return only when t is scheduled again.
-  void advance(ThreadId t, Cycles cycles);
+  /// return only when t is scheduled again. Inline: nearly every call stays
+  /// within the quantum and returns at once.
+  void advance(ThreadId t, Cycles cycles) {
+    const Cycles now = clocks_[t] += cycles;
+    if (now <= deadline_ && (cfg_.max_cycles == 0 || now <= cfg_.max_cycles) &&
+        !stopping_) {
+      return;
+    }
+    advance_slow(t);
+  }
 
   /// Voluntarily reschedule even if within quantum (used at synchronization
   /// boundary points that need fine-grained interleaving).
@@ -82,6 +90,10 @@ class Engine {
   /// Per-thread driver the backend invokes: initial token wait, body, and
   /// deterministic completion/teardown handoff.
   void thread_main(ThreadId t);
+
+  /// advance() past the quantum deadline or the max_cycles guard, or during
+  /// teardown: check the guard, then reschedule.
+  void advance_slow(ThreadId t);
 
   // All of the below execute with the token held (or, for run()'s
   // bookkeeping, with no simulated thread running); happens-before edges

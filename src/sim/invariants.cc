@@ -17,6 +17,7 @@ using u64 = std::uint64_t;
 struct Check {
   std::string cell;
   std::string run;
+  std::size_t run_index;
   std::vector<Finding>& out;
   const char* family = "";
 
@@ -31,8 +32,8 @@ struct Check {
   }
   void add(const std::string& subject, const std::string& rule, u64 a,
            u64 b) {
-    out.push_back({cell, run, subject, std::string(family) + ": " + rule, a,
-                   b});
+    out.push_back({cell, run, run_index, subject,
+                   std::string(family) + ": " + rule, a, b});
   }
 };
 
@@ -319,16 +320,6 @@ std::string Finding::str() const {
          std::to_string(rhs);
 }
 
-std::vector<Finding> check_run(const JsonValue& run, const std::string& cell) {
-  std::vector<Finding> out;
-  Check c{cell, run.str("label"), out};
-  for (const auto& f : kRegistry) {
-    c.family = f.name;
-    f.check(run, c);
-  }
-  return out;
-}
-
 std::vector<Finding> check_invariants(const JsonValue& doc) {
   std::vector<Finding> out;
   const auto check_runs = [&](const JsonValue& tel, const std::string& cell) {
@@ -339,8 +330,13 @@ std::vector<Finding> check_invariants(const JsonValue& doc) {
                              "', got '" + schema + "'" +
                              (cell.empty() ? "" : " (cell " + cell + ")"));
     }
-    for (const JsonValue& run : tel.objects("runs")) {
-      for (Finding& f : check_run(run, cell)) out.push_back(std::move(f));
+    const std::vector<JsonValue>& runs = tel.objects("runs");
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      Check c{cell, runs[i].str("label"), i, out};
+      for (const auto& f : kRegistry) {
+        c.family = f.name;
+        f.check(runs[i], c);
+      }
     }
   };
   // A telemetry artifact has "runs"; a sweep grid has "cells", each with
@@ -359,7 +355,8 @@ std::vector<Finding> check_invariants(const Telemetry& tel) {
   return check_invariants(JsonParser::parse(tel.json("invariants")));
 }
 
-bool load_artifact(std::string_view text, JsonValue& doc, std::string* error) {
+bool load_artifact(std::string_view text, JsonValue& doc, std::string* error,
+                   std::vector<Finding>* findings) {
   std::string parse_error;
   doc = JsonParser::parse(text, &parse_error);
   if (!parse_error.empty()) {
@@ -367,7 +364,8 @@ bool load_artifact(std::string_view text, JsonValue& doc, std::string* error) {
     return false;
   }
   try {
-    check_invariants(doc);
+    std::vector<Finding> found = check_invariants(doc);
+    if (findings != nullptr) *findings = std::move(found);
   } catch (const JsonError& e) {
     *error = e.what();
     return false;

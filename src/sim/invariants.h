@@ -29,6 +29,7 @@ class Telemetry;
 struct Finding {
   std::string cell;     // sweep-grid cell label; empty in a flat artifact
   std::string run;      // run label
+  std::size_t run_index = 0;  // position in its telemetry's "runs" array
   std::string subject;  // "thread 2", "site 0x40", "level llc", ... or ""
   std::string rule;     // the relation that failed, e.g. "a == b"
   std::uint64_t lhs = 0;
@@ -37,11 +38,6 @@ struct Finding {
   /// One line: "cell C run R thread T: <rule>: <lhs> vs <rhs>".
   std::string str() const;
 };
-
-/// Check one run object; `cell` names the sweep cell it came from, if any.
-/// Throws JsonError on a missing or mistyped field.
-std::vector<Finding> check_run(const JsonValue& run,
-                               const std::string& cell = {});
 
 /// Check every run of a telemetry artifact or every cell of a sweep grid.
 /// Throws JsonError unless each telemetry is of kTelemetrySchema.
@@ -54,8 +50,10 @@ std::vector<Finding> check_invariants(const Telemetry& tel);
 /// Parse `text` and run the registry once: the one loader of tsx_report,
 /// tools/sweep and bench --report. False with *error set ("parse error: ..."
 /// or "<path>: <problem>") on a malformed or partial artifact or another
-/// schema version; findings are not load errors.
-bool load_artifact(std::string_view text, JsonValue& doc, std::string* error);
+/// schema version; findings are not load errors; they land in *findings
+/// when it is given, for the renderers to print.
+bool load_artifact(std::string_view text, JsonValue& doc, std::string* error,
+                   std::vector<Finding>* findings = nullptr);
 
 /// Findings one per line (empty when there are none), for test messages.
 std::string to_string(const std::vector<Finding>& findings);

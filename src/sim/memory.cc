@@ -33,6 +33,10 @@ const char* to_string(MemLevel level) {
 MemorySystem::MemorySystem(const MachineConfig& cfg,
                            std::vector<ThreadStats>& stats)
     : cfg_(cfg), stats_(stats), heap_(cfg.line_bytes) {
+  if (cfg_.line_bytes == 0 || (cfg_.line_bytes & (cfg_.line_bytes - 1)) != 0) {
+    throw SimError("line_bytes must be a power of two");
+  }
+  line_shift_ = static_cast<unsigned>(__builtin_ctz(cfg_.line_bytes));
   if ((cfg_.l1_sets() & (cfg_.l1_sets() - 1)) != 0) {
     throw SimError("L1 set count must be a power of two");
   }
@@ -77,6 +81,16 @@ MemorySystem::MemorySystem(const MachineConfig& cfg,
     llc_.emplace_back(cfg_.llc_sets(), cfg_.llc_ways);
   }
   tx_.resize(cfg_.num_hw_threads());
+  for (ThreadId t = 0; t < cfg_.num_hw_threads(); ++t) {
+    core_of_thread_.push_back(cfg_.core_of(t));
+  }
+  for (int c = 0; c < cfg_.num_cores; ++c) {
+    socket_of_core_.push_back(cfg_.socket_of_core(c));
+    local_slice_of_core_.push_back(cfg_.local_slice_of_core(c));
+  }
+  for (int s = 0; s < topo.llc_slices; ++s) {
+    socket_of_slice_.push_back(cfg_.socket_of_slice(s));
+  }
   slice_stats_.assign(topo.llc_slices, SliceStats{});
   socket_stats_.assign(topo.num_sockets, SocketStats{});
   topo_multi_ = topo.llc_slices > 1 || topo.num_sockets > 1;
@@ -151,13 +165,13 @@ void MemorySystem::detect_conflicts(ThreadId t, Addr line, bool is_write,
   }
 }
 
-void MemorySystem::tx_track(ThreadId t, CacheLevel::Entry& e,
+void MemorySystem::tx_track(ThreadId t, Addr line, CacheLevel::Entry& e,
                             bool is_write) {
   const ThreadMask bit = ThreadMask{1} << t;
   ThreadMask& mask = is_write ? e.tx_sets.writers : e.tx_sets.readers;
   if ((mask & bit) != 0) return;
   mask |= bit;
-  (is_write ? tx_[t].write_lines : tx_[t].read_lines).push_back(e.line);
+  (is_write ? tx_[t].write_lines : tx_[t].read_lines).push_back(line);
 }
 
 bool MemorySystem::read_evict_dooms(Addr line) {
@@ -252,9 +266,10 @@ void MemorySystem::on_llc_eviction(const CacheTouch& touch, int slice) {
   if (touch.evicted_dirty_core >= 0) {
     cores |= CoreMask{1} << touch.evicted_dirty_core;
   }
-  for (int c = 0; c < cfg_.num_cores; ++c) {
-    if ((cores & (CoreMask{1} << c)) && l1_[c].invalidate(line) &&
-        set_stats_) {
+  while (cores != 0) {
+    const int c = __builtin_ctzll(cores);
+    cores &= cores - 1;
+    if (l1_[c].invalidate(line) && set_stats_) {
       // Only count copies actually dropped: the sharer mask can
       // over-approximate. Coherence invalidations (update_directory) are
       // deliberately not counted here — back-invalidation pressure is the
@@ -264,37 +279,54 @@ void MemorySystem::on_llc_eviction(const CacheTouch& touch, int slice) {
   }
 }
 
-void MemorySystem::update_directory(CacheLevel::Entry& e, int core,
-                                    bool is_write) {
+void MemorySystem::update_directory(Addr line, CacheLevel::Entry& e,
+                                    int core, bool is_write) {
+  const CoreMask self = CoreMask{1} << core;
   if (is_write) {
     // Invalidate all other cores' copies and take dirty ownership.
-    for (int c = 0; c < cfg_.num_cores; ++c) {
-      if (c != core && (e.sharers & (CoreMask{1} << c))) {
-        l1_[c].invalidate(e.line);
-      }
-    }
-    if (e.dirty_core >= 0 && e.dirty_core != core) {
-      l1_[e.dirty_core].invalidate(e.line);
+    CoreMask others = e.sharers;
+    if (e.dirty_core >= 0) others |= CoreMask{1} << e.dirty_core;
+    others &= ~self;
+    while (others != 0) {
+      l1_[__builtin_ctzll(others)].invalidate(line);
+      others &= others - 1;
     }
     e.dirty_core = core;
-    e.sharers = CoreMask{1} << core;
+    e.sharers = self;
   } else {
     if (e.dirty_core >= 0 && e.dirty_core != core) e.dirty_core = -1;
-    e.sharers |= CoreMask{1} << core;
+    e.sharers |= self;
   }
+}
+
+CacheLevel::Entry& MemorySystem::linked_llc_entry(CacheLevel& llc,
+                                                  const CacheLevel::Entry& l1e,
+                                                  Addr line) {
+  CacheLevel::Entry* e = llc.at(l1e.llc_slot, line);
+  if (e == nullptr) {
+    // Every L1-resident line must be resident in its owning slice, in the
+    // slot it was filled into; a mismatch is a bug in the back-invalidation
+    // plumbing, not a workload condition.
+    throw SimError("inclusive-LLC invariant violated");
+  }
+  return *e;
 }
 
 AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
   const int core = core_of(t);
-  const int socket = cfg_.socket_of_core(core);
+  const int socket = socket_of_core_[core];
   const bool tx_active = tx_[t].active;
   const bool tx_write = tx_active && is_write;
   const bool tx_read = tx_active && !is_write;
   const int slice = slice_of(line);
   CacheLevel& llc = llc_[slice];
-  // L1 touches and evictions never mutate the LLC, so this entry stays
-  // valid up to the fill below.
-  CacheLevel::Entry* e = llc.find(line);
+  CacheLevel& l1 = l1_[core];
+  // An L1 copy links to the line's LLC entry, so an L1 hit scans one set.
+  // L1 fills and evictions never mutate the LLC, so `e` stays valid up to
+  // the DRAM fill below.
+  CacheLevel::Entry* l1e = l1.find(line);
+  CacheLevel::Entry* e =
+      l1e != nullptr ? &linked_llc_entry(llc, *l1e, line) : llc.find(line);
   detect_conflicts(t, line, is_write, e);
 
   ThreadStats& st = stats_[t];
@@ -302,27 +334,13 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
   SocketStats& sock = socket_stats_[socket];
   sock.accesses++;
 
-  CacheLevel& l1 = l1_[core];
   SetCounters* l1set =
       set_stats_ ? &l1.set_stats(l1.set_of(line)) : nullptr;
 
-  CacheTouch l1t = l1.touch(line, t, tx_write, tx_read);
-  if (l1t.evicted) {
-    st.l1_evictions++;
-    // The victim lives in the same L1 set as the fill that displaced it.
-    if (l1set) l1set->evictions++;
-    on_l1_eviction(l1t);
-  }
-
   AccessResult r;
-  SliceStats& slst = slice_stats_[slice];
-  if (l1t.hit) {
-    if (e == nullptr) {
-      // Every L1-resident line must be resident in its owning slice; a miss
-      // here is a bug in the back-invalidation plumbing, not a workload
-      // condition.
-      throw SimError("inclusive-LLC invariant violated");
-    }
+  if (l1e != nullptr) {
+    l1.promote(l1e);
+    CacheLevel::mark(*l1e, t, tx_write, tx_read);
     llc.promote(e);
     r.latency = cfg_.lat_l1_hit;
     r.level = MemLevel::kL1;
@@ -330,23 +348,34 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
     if (l1set) l1set->hits++;
     // An L1 hit never consults the interconnect: no hop, straight to the
     // directory update below.
-    update_directory(*e, core, is_write);
-    if (tx_active) tx_track(t, *e, is_write);
+    update_directory(line, *e, core, is_write);
+    if (tx_active) tx_track(t, line, *e, is_write);
     return r;
+  }
+
+  CacheTouch l1t;
+  l1e = &l1.fill(line, l1t);
+  CacheLevel::mark(*l1e, t, tx_write, tx_read);
+  if (l1t.evicted) {
+    st.l1_evictions++;
+    // The victim lives in the same L1 set as the fill that displaced it.
+    if (l1set) l1set->evictions++;
+    on_l1_eviction(l1t);
   }
 
   st.l1_misses++;
   if (l1set) l1set->misses++;  // every L1 miss allocated in this set
+  SliceStats& slst = slice_stats_[slice];
   // Interconnect model: any access that leaves the core consults the
   // owning slice's directory, paying a hop to a non-local slice (on-socket
   // ring) or to a remote socket.
   Cycles hop = 0;
   if (topo_multi_) {
-    if (cfg_.socket_of_slice(slice) != socket) {
+    if (socket_of_slice_[slice] != socket) {
       hop += cfg_.topology.lat_hop_socket;
       st.socket_hops++;
       sock.socket_hops++;
-    } else if (slice != cfg_.local_slice_of_core(core)) {
+    } else if (slice != local_slice_of_core_[core]) {
       hop += cfg_.topology.lat_hop_slice;
       st.slice_hops++;
       sock.slice_hops++;
@@ -365,7 +394,7 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
       slst.xfers++;
       // Forwarding a dirty line from a remote socket's core crosses the
       // interconnect a second time.
-      if (topo_multi_ && cfg_.socket_of_core(e->dirty_core) != socket) {
+      if (topo_multi_ && socket_of_core_[e->dirty_core] != socket) {
         hop += cfg_.topology.lat_hop_socket;
         st.socket_hops++;
         sock.socket_hops++;
@@ -403,23 +432,23 @@ AccessResult MemorySystem::cache_access(ThreadId t, Addr line, bool is_write) {
       st.socket_hops++;
       sock.socket_hops++;
     }
-    CacheTouch fill = llc.touch(line, t, /*tx_write=*/false,
-                                /*tx_read=*/false);
+    CacheTouch fill;
+    e = &llc.fill(line, fill);
     if (fill.evicted) {
       st.llc_evictions++;
       if (llcset) llcset->evictions++;
       slst.evictions++;
       on_llc_eviction(fill, slice);
     }
-    e = llc.find(line);
     if (!tx_overflow_.empty()) {
       if (auto node = tx_overflow_.extract(line)) e->tx_sets = node.mapped();
     }
   }
+  l1e->llc_slot = llc.slot_of(*e);
   r.latency += hop;
   st.hop_cycles += hop;
-  update_directory(*e, core, is_write);
-  if (tx_active) tx_track(t, *e, is_write);
+  update_directory(line, *e, core, is_write);
+  if (tx_active) tx_track(t, line, *e, is_write);
   return r;
 }
 
@@ -433,8 +462,8 @@ AccessResult MemorySystem::load(ThreadId t, Addr a, unsigned size) {
   // Read our own speculative value if present.
   if (tx.active && !tx.write_buffer.empty()) {
     const Addr word = a & ~static_cast<Addr>(7);
-    if (auto it = tx.write_buffer.find(word); it != tx.write_buffer.end()) {
-      std::uint64_t w = it->second;
+    if (const std::uint64_t* buffered = tx.write_buffer.find(word)) {
+      std::uint64_t w = *buffered;
       const unsigned shift = static_cast<unsigned>(a - word) * 8;
       std::uint64_t mask =
           size == 8 ? ~0ULL : ((1ULL << (size * 8)) - 1) << shift;
@@ -461,17 +490,13 @@ AccessResult MemorySystem::store(ThreadId t, Addr a, std::uint64_t v,
 
   // Merge into the word-granularity speculative buffer.
   const Addr word = a & ~static_cast<Addr>(7);
-  std::uint64_t w;
-  if (auto it = tx.write_buffer.find(word); it != tx.write_buffer.end()) {
-    w = it->second;
-  } else {
-    w = heap_.read_word(word, 8);
-  }
+  bool fresh;
+  std::uint64_t& w = tx.write_buffer.slot(word, fresh);
+  if (fresh) w = heap_.read_word(word, 8);
   const unsigned shift = static_cast<unsigned>(a - word) * 8;
   const std::uint64_t mask =
       size == 8 ? ~0ULL : ((1ULL << (size * 8)) - 1) << shift;
   w = (w & ~mask) | ((v << shift) & mask);
-  tx.write_buffer[word] = w;
   return r;
 }
 
@@ -498,13 +523,18 @@ void MemorySystem::release_tx_lines(ThreadId t, bool invalidate_writes) {
   const TxState& tx = tx_[t];
   CacheLevel& l1 = l1_[core_of(t)];
   auto release = [&](Addr line, ThreadMask TxMasks::*set) {
-    if (CacheLevel::Entry* e = llc_[slice_of(line)].find(line)) {
+    // An L1-resident line reaches its LLC entry through the slot link.
+    CacheLevel& llc = llc_[slice_of(line)];
+    CacheLevel::Entry* l1e = l1.find(line);
+    CacheLevel::Entry* e =
+        l1e != nullptr ? &linked_llc_entry(llc, *l1e, line) : llc.find(line);
+    if (e != nullptr) {
       e->tx_sets.*set &= keep;
     } else if (auto it = tx_overflow_.find(line); it != tx_overflow_.end()) {
       it->second.*set &= keep;
       if (!it->second.any()) tx_overflow_.erase(it);
     }
-    l1.clear_tx_marks(line, t, invalidate_writes);
+    if (l1e != nullptr) l1.clear_tx_marks(*l1e, t, invalidate_writes);
   };
   for (Addr line : tx.read_lines) release(line, &TxMasks::readers);
   for (Addr line : tx.write_lines) release(line, &TxMasks::writers);
@@ -518,7 +548,7 @@ void MemorySystem::tx_end(ThreadId t) {
     return;
   }
   // Publish the speculative writes.
-  for (const auto& [word, value] : tx.write_buffer) {
+  for (const auto& [word, value] : tx.write_buffer.words()) {
     heap_.write_word(word, value, 8);
   }
   release_tx_lines(t, /*invalidate_writes=*/false);

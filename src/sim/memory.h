@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/cache.h"
@@ -53,6 +54,84 @@
 namespace tsxhpc::sim {
 
 class Telemetry;
+
+/// Word-granularity (8 B aligned) speculative write buffer: word address ->
+/// value. The words sit in an array in first-write order, indexed by a flat
+/// open-addressed table, so buffering a word allocates nothing once the
+/// table has grown, clear() is O(1) and commit publishes in a fixed order.
+class WriteBuffer {
+ public:
+  bool empty() const { return words_.empty(); }
+
+  /// The buffered value of `word`, or null.
+  std::uint64_t* find(Addr word) {
+    if (words_.empty()) return nullptr;
+    for (std::size_t i = home(word);; i = (i + 1) & mask_) {
+      if (index_[i].gen != gen_) return nullptr;
+      auto& [w, value] = words_[index_[i].pos];
+      if (w == word) return &value;
+    }
+  }
+
+  /// The buffered value of `word`; a new word is appended with value 0 and
+  /// `fresh` set, for the caller to fill.
+  std::uint64_t& slot(Addr word, bool& fresh) {
+    if (std::uint64_t* v = find(word)) {
+      fresh = false;
+      return *v;
+    }
+    fresh = true;
+    if (2 * (words_.size() + 1) > index_.size()) grow();
+    index(word, static_cast<std::uint32_t>(words_.size()));
+    return words_.emplace_back(word, 0).second;
+  }
+
+  void clear() {
+    words_.clear();
+    if (++gen_ == 0) {  // the generation wrapped: wipe the stale slots
+      index_.assign(index_.size(), Slot{});
+      gen_ = 1;
+    }
+  }
+
+  /// Buffered (word, value) pairs in first-write order.
+  const std::vector<std::pair<Addr, std::uint64_t>>& words() const {
+    return words_;
+  }
+
+ private:
+  /// An index slot is occupied when its gen equals the table's, so bumping
+  /// the table's gen empties every slot at once.
+  struct Slot {
+    std::uint32_t gen = 0;
+    std::uint32_t pos = 0;  // into words_
+  };
+
+  std::size_t home(Addr word) const {
+    return static_cast<std::size_t>(((word >> 3) * 0x9E3779B97F4A7C15ULL) >>
+                                    shift_);
+  }
+  void index(Addr word, std::uint32_t pos) {
+    std::size_t i = home(word);
+    while (index_[i].gen == gen_) i = (i + 1) & mask_;
+    index_[i] = Slot{gen_, pos};
+  }
+  /// Double the index (16 slots at first) and rebuild it from words_.
+  void grow() {
+    const std::size_t n = index_.empty() ? 16 : 2 * index_.size();
+    index_.assign(n, Slot{});
+    mask_ = n - 1;
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(n));
+    gen_ = 1;
+    for (std::uint32_t p = 0; p < words_.size(); ++p) index(words_[p].first, p);
+  }
+
+  std::vector<std::pair<Addr, std::uint64_t>> words_;
+  std::vector<Slot> index_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 64;
+  std::uint32_t gen_ = 1;
+};
 
 /// Transactional state of one hardware thread.
 struct TxState {
@@ -76,8 +155,7 @@ struct TxState {
   std::vector<Addr> read_lines;
   std::vector<Addr> write_lines;
 
-  // Word-granularity (8 B aligned) speculative write buffer: address -> value.
-  std::unordered_map<Addr, std::uint64_t> write_buffer;
+  WriteBuffer write_buffer;
 
   void reset() {
     active = false;
@@ -195,8 +273,8 @@ class MemorySystem {
   }
 
  private:
-  Addr line_of(Addr a) const { return cfg_.line_of(a); }
-  int core_of(ThreadId t) const { return cfg_.core_of(t); }
+  Addr line_of(Addr a) const { return a >> line_shift_; }
+  int core_of(ThreadId t) const { return core_of_thread_[t]; }
   int slice_of(Addr line) const { return cfg_.slice_of_line(line); }
 
   /// DRAM home socket of `line`: first-touch under --map=sharing-aware
@@ -218,9 +296,9 @@ class MemorySystem {
   bool doom(ThreadId victim, AbortCause cause, Addr line, ThreadId aggressor,
             bool is_write);
 
-  /// Track line membership in t's transactional read or write set, on the
-  /// line's (resident) LLC entry.
-  void tx_track(ThreadId t, CacheLevel::Entry& e, bool is_write);
+  /// Track `line`'s membership in t's transactional read or write set, on
+  /// the line's (resident) LLC entry `e`.
+  void tx_track(ThreadId t, Addr line, CacheLevel::Entry& e, bool is_write);
 
   /// Run the hierarchy (conflict check -> L1 -> owning slice's directory/LLC
   /// -> DRAM) and track the line if t is in a transaction; returns the
@@ -240,10 +318,17 @@ class MemorySystem {
   /// with the entry; its tx masks move to the overflow map.
   void on_llc_eviction(const CacheTouch& touch, int slice);
 
-  /// MESI-style directory update on the line's LLC entry: a write
+  /// MESI-style directory update on `line`'s LLC entry: a write
   /// invalidates all other cores' copies and takes dirty ownership; a read
   /// joins the sharers (downgrading a remote dirty owner).
-  void update_directory(CacheLevel::Entry& e, int core, bool is_write);
+  void update_directory(Addr line, CacheLevel::Entry& e, int core,
+                        bool is_write);
+
+  /// The LLC entry an L1 entry links to, checked against `line`: inclusion
+  /// guarantees it, so a mismatch is a simulator bug and throws.
+  CacheLevel::Entry& linked_llc_entry(CacheLevel& llc,
+                                      const CacheLevel::Entry& l1e,
+                                      Addr line);
 
   /// One deterministic draw of the secondary-tracker imprecision hash;
   /// true = the eviction dooms the reader.
@@ -258,6 +343,12 @@ class MemorySystem {
 
   const MachineConfig& cfg_;
   std::vector<ThreadStats>& stats_;
+  // Topology tables, built once from MachineConfig's mapping functions.
+  unsigned line_shift_ = 0;              // log2(line_bytes)
+  std::vector<int> core_of_thread_;      // per hardware thread
+  std::vector<int> socket_of_core_;      // per core
+  std::vector<int> local_slice_of_core_; // per core
+  std::vector<int> socket_of_slice_;     // per LLC slice
   SharedHeap heap_;
   std::vector<CacheLevel> l1_;   // per core (SMT siblings share)
   std::vector<CacheLevel> llc_;  // one inclusive slice per topology slice;

@@ -271,12 +271,15 @@ void render_locks(std::string& out, const JsonValue& run) {
 
 }  // namespace
 
-std::string render_report(const JsonValue& doc, const ReportOptions& opt) {
+std::string render_report(const JsonValue& doc,
+                          const std::vector<Finding>& findings,
+                          const ReportOptions& opt) {
   std::string out;
   const std::vector<JsonValue>& runs = doc.objects("runs");
   appendf(out, "tsx_report: bench=%s schema=%s runs=%zu\n",
           doc.str("bench").c_str(), doc.str("schema").c_str(), runs.size());
-  for (const JsonValue& run : runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const JsonValue& run = runs[i];
     const JsonValue& totals = run.obj("totals");
     appendf(out, "\nrun %s: threads=%llu makespan=%llu%s\n",
             run.str("label").c_str(), llu(run, "num_threads"),
@@ -293,8 +296,8 @@ std::string render_report(const JsonValue& doc, const ReportOptions& opt) {
     render_cache_levels(out, run);
     render_topology(out, run);
     render_cycle_table(out, run);
-    for (const Finding& f : check_run(run)) {
-      out += "  !! " + f.str() + '\n';
+    for (const Finding& f : findings) {
+      if (f.run_index == i) out += "  !! " + f.str() + '\n';
     }
     render_locks(out, run);
   }
@@ -367,7 +370,7 @@ int render_diff(const JsonValue& base, const JsonValue& cur,
           "thresholds: abort-rate +%.2fpp, wasted-cycles +%.2fpp\n",
           thr.abort_rate_pp, thr.wasted_cycle_pp);
   const int failures = diff_run_sets(base, cur, thr, "", out);
-  appendf(out, "%d failure(s) (regressions, schema or label-set mismatches)\n",
+  appendf(out, "%d failure(s) (regressions or label-set mismatches)\n",
           failures);
   return failures;
 }
@@ -501,7 +504,7 @@ bool render_set_heatmaps(const JsonValue& doc, const std::string& level_filter,
   }
   if (!any_block) {
     appendf(out, "no set_stats block in this artifact — re-run the bench "
-                 "with --set-stats (telemetry v6)\n");
+                 "with --set-stats (telemetry v8)\n");
     return false;
   }
   if (!any_level) {
@@ -661,7 +664,8 @@ bool is_sweep_doc(const JsonValue& doc) {
   return doc.str("schema") == kSweepSchema;
 }
 
-std::string render_sweep_report(const JsonValue& doc) {
+std::string render_sweep_report(const JsonValue& doc,
+                                const std::vector<Finding>& findings) {
   std::string out;
   const std::vector<JsonValue>& axes = doc.objects("axes");
   const std::vector<JsonValue>& cells = doc.objects("cells");
@@ -691,7 +695,7 @@ std::string render_sweep_report(const JsonValue& doc) {
   }
   out += '\n';
   render_scaling_curves(out, doc);
-  for (const Finding& f : check_invariants(doc)) {
+  for (const Finding& f : findings) {
     out += "!! " + f.str() + '\n';
   }
   return out;

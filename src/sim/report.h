@@ -10,7 +10,9 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
+#include "sim/invariants.h"
 #include "sim/json_parse.h"
 
 namespace tsxhpc::sim {
@@ -28,9 +30,12 @@ struct DiffThresholds {
 /// True if a loaded artifact is a merged sweep grid, not flat telemetry.
 bool is_sweep_doc(const JsonValue& doc);
 
-/// Render the report for one parsed artifact, with a "!!" line per broken
-/// invariant (sim/invariants.h) at the end of each run's cycle table.
-std::string render_report(const JsonValue& doc, const ReportOptions& opt = {});
+/// Render the report for one parsed artifact, with a "!!" line per
+/// finding — as load_artifact returned them — at the end of its run's cycle
+/// table.
+std::string render_report(const JsonValue& doc,
+                          const std::vector<Finding>& findings,
+                          const ReportOptions& opt = {});
 
 /// Compare `cur` against `base` run-by-run (matched by label). Appends the
 /// comparison to `out` and returns the number of failures: regressions
@@ -59,8 +64,9 @@ std::string render_html(const JsonValue& doc);
 /// Render the grid view of a sweep artifact: the axes, a per-cell summary
 /// table, and — when the grid has a "threads" axis — makespan/speedup
 /// scaling curves per combination of the remaining axes, then a "!!" line
-/// per broken invariant in any cell.
-std::string render_sweep_report(const JsonValue& doc);
+/// per finding in any cell.
+std::string render_sweep_report(const JsonValue& doc,
+                                const std::vector<Finding>& findings);
 
 /// Append a two-axis pivot table of `metric` over the grid to `out`: rows
 /// are `axis_a` values, columns `axis_b` values; cells averaging over any

@@ -318,5 +318,141 @@ TEST(Hierarchy, TxRegistryDrainsAfterCommitsAndAborts) {
   EXPECT_EQ(p.m.mem().tx_registry_entries(), 0u);
 }
 
+// The slot link: an L1 entry records the LLC slot its line was filled
+// into. The tests below move a line to a different LLC slot behind a
+// parked transaction's back. Thread 0 (core 0) reads or writes line 0 of
+// one set and then computes; thread 1 (core 1) streams ten more lines of
+// the same set through the 10-way LLC, which evicts line 0 and
+// back-invalidates core 0's copy, and reloads line 0, which now lands in
+// the way of line 1 while line 10 holds line 0's old slot.
+constexpr Cycles kParkCycles = 100000;
+
+struct SlotMove {
+  MachineConfig cfg;
+  Machine m;
+  Addr base;
+  explicit SlotMove(const MachineConfig& c) : cfg(c), m(cfg) {
+    base = m.alloc(32 * kSetStrideLines * cfg.line_bytes, 64);
+  }
+  Addr line_addr(std::size_t i) const {
+    return base + i * kSetStrideLines * cfg.line_bytes;
+  }
+  Addr line(std::size_t i) const { return line_addr(i) / cfg.line_bytes; }
+  /// LLC slot holding `line` right now (a copy: find() is not const).
+  std::uint32_t llc_slot(Addr line) {
+    CacheLevel llc = m.mem().llc();
+    CacheLevel::Entry* e = llc.find(line);
+    return e != nullptr ? llc.slot_of(*e) : ~0u;
+  }
+  /// Thread 1's part: evict line 0 from the LLC, then reload it.
+  void move_line0(Context& c) {
+    c.compute(1000);  // after thread 0's first access
+    for (std::size_t i = 1; i <= 10; ++i) (void)c.load(line_addr(i));
+    (void)c.load(line_addr(0));
+  }
+};
+
+TEST(SlotLink, RefillIntoAnotherWayIsServedAsAnL1Miss) {
+  MachineConfig cfg;
+  cfg.read_evict_abort_prob = 0.0;
+  SlotMove p(cfg);
+  std::uint32_t old_slot = 0;
+  bool committed = false;
+  const RunStats rs = p.m.run({.threads = 2, .body = [&](Context& c) {
+    if (c.tid() == 1) {
+      p.move_line0(c);
+      return;
+    }
+    c.xbegin();
+    (void)c.load(p.line_addr(0));
+    old_slot = p.llc_slot(p.line(0));
+    c.compute(kParkCycles);
+    (void)c.load(p.line_addr(0));  // core 0's copy is gone: an L1 miss
+    c.xend();
+    committed = true;
+  }});
+  EXPECT_TRUE(committed);
+  EXPECT_NE(p.llc_slot(p.line(0)), old_slot);
+  EXPECT_EQ(p.llc_slot(p.line(10)), old_slot);
+
+  const ThreadStats& t0 = rs.threads.at(0);
+  EXPECT_EQ(t0.mem_accesses, 2u);
+  EXPECT_EQ(t0.l1_hits, 0u);
+  EXPECT_EQ(t0.l1_misses, 2u);
+  EXPECT_EQ(t0.llc_misses, 1u);  // the first load; the reload is a transfer
+  EXPECT_EQ(t0.xfers_in, 1u);
+  // Line 0 left the LLC while core 0 held it in the transaction's read set.
+  EXPECT_EQ(t0.tx_read_lines_evicted, 1u);
+  const ThreadStats& t1 = rs.threads.at(1);
+  EXPECT_EQ(t1.mem_accesses, 11u);
+  EXPECT_EQ(t1.l1_hits + t1.l1_misses, t1.mem_accesses);
+  EXPECT_EQ(t1.llc_misses, 11u);
+  EXPECT_EQ(t1.llc_evictions, 2u);  // line 0, then line 1
+  EXPECT_EQ(p.m.mem().tx_registry_entries(), 0u);
+}
+
+TEST(SlotLink, RegistryDrainsAfterWrittenLineMovesSlot) {
+  MachineConfig cfg;
+  cfg.read_evict_abort_prob = 0.0;
+  SlotMove p(cfg);
+  // Commit: the read line moves slot under the transaction, whose own
+  // written line (another set) stays put.
+  bool committed = false;
+  p.m.run({.threads = 2, .body = [&](Context& c) {
+    if (c.tid() == 1) {
+      p.move_line0(c);
+      return;
+    }
+    c.xbegin();
+    (void)c.load(p.line_addr(0));
+    c.store(p.line_addr(0) + cfg.line_bytes, 1);
+    c.compute(kParkCycles);
+    c.xend();
+    committed = true;
+  }});
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(p.m.mem().tx_registry_entries(), 0u);
+
+  // Abort: the written line is evicted (a capacity doom) and refilled into
+  // another slot before the writer rolls back.
+  TxAbort abort;
+  bool aborted = false;
+  p.m.run({.threads = 2, .body = [&](Context& c) {
+    if (c.tid() == 1) {
+      p.move_line0(c);
+      return;
+    }
+    try {
+      c.xbegin();
+      c.store(p.line_addr(0), 2);
+      c.compute(kParkCycles);
+      c.xend();
+    } catch (const TxAbort& a) {
+      abort = a;
+      aborted = true;
+    }
+  }});
+  ASSERT_TRUE(aborted);
+  EXPECT_EQ(abort.cause, AbortCause::kCapacityWrite);
+  EXPECT_FALSE(p.m.mem().l1_of_core(0).contains(p.line(0)));
+  EXPECT_EQ(p.m.mem().tx_registry_entries(), 0u);
+}
+
+TEST(Hierarchy, LineSizeMustBeAPowerOfTwo) {
+  // 48-byte lines with geometries whose set counts are powers of two: only
+  // the line size itself is wrong, and line addresses are a shift of it.
+  MachineConfig cfg;
+  cfg.line_bytes = 48;
+  cfg.l1_bytes = 48 * 8 * 64;
+  cfg.llc_bytes = 48 * 10 * 64;
+  std::vector<ThreadStats> stats(cfg.num_hw_threads());
+  EXPECT_THROW(MemorySystem(cfg, stats), SimError);
+  EXPECT_THROW(Machine{cfg}, ConfigError);
+  cfg.line_bytes = 128;
+  cfg.l1_bytes = 128 * 8 * 64;
+  cfg.llc_bytes = 128 * 10 * 64;
+  EXPECT_NO_THROW(MemorySystem(cfg, stats));
+}
+
 }  // namespace
 }  // namespace tsxhpc::sim

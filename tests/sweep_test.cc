@@ -227,7 +227,7 @@ TEST(SweepReport, RendersGridAndScalingCurves) {
     const std::uint64_t t = std::stoull(c.coords[1]);
     return make_telemetry(c.label, 8000 / t, 5.0, 10.0);
   });
-  const std::string report = render_sweep_report(doc);
+  const std::string report = render_sweep_report(doc, check_invariants(doc));
   EXPECT_NE(report.find("scheme(2) x threads(3)"), std::string::npos) << report;
   EXPECT_NE(report.find("scheme=sgl/threads=1"), std::string::npos);
   EXPECT_NE(report.find("scheme=tsx/threads=4"), std::string::npos);

@@ -32,6 +32,7 @@
 // mode.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/args.h"
 #include "sim/fsio.h"
@@ -43,13 +44,14 @@ namespace {
 
 namespace sim = tsxhpc::sim;
 
-bool load_doc(const std::string& path, sim::JsonValue& doc) {
+bool load_doc(const std::string& path, sim::JsonValue& doc,
+              std::vector<sim::Finding>* findings = nullptr) {
   std::string text, err;
   if (!sim::read_file(path, text)) {
     std::fprintf(stderr, "tsx_report: cannot read %s\n", path.c_str());
     return false;
   }
-  if (!sim::load_artifact(text, doc, &err)) {
+  if (!sim::load_artifact(text, doc, &err, findings)) {
     std::fprintf(stderr, "tsx_report: %s: %s\n", path.c_str(), err.c_str());
     return false;
   }
@@ -76,9 +78,10 @@ int main(int argc, char** argv) {
                   "a cycle bucket (work, tx_committed, tx_wasted, lock_wait, "
                   "fallback, mem_stall)", &metric);
   args.add_opt_string("sets",
-                      "print per-set heatmaps from a v5 artifact's set_stats "
-                      "block; optionally select a level (all, l1, llc, or an "
-                      "instance like l1.c0)", &sets, "all");
+                      "print per-set heatmaps from the set_stats block of a "
+                      "v8 artifact written with --set-stats; optionally "
+                      "select a level (all, l1, llc, or an instance like "
+                      "l1.c0)", &sets, "all");
   args.add_string("html",
                   "write a self-contained HTML dashboard (inline CSS/SVG, no "
                   "external assets) to this path", &html);
@@ -112,7 +115,10 @@ int main(int argc, char** argv) {
     return args.fail("exactly one artifact expected (or pass --diff)");
   }
   sim::JsonValue doc, cur;
-  if (!load_doc(path0, doc) || (diff && !load_doc(path1, cur))) return 2;
+  std::vector<sim::Finding> findings;
+  if (!load_doc(path0, doc, &findings) || (diff && !load_doc(path1, cur))) {
+    return 2;
+  }
   // Every renderer builds its whole output before anything is printed, so
   // a field the loader did not read still exits 2 with empty stdout.
   try {
@@ -154,9 +160,9 @@ int main(int argc, char** argv) {
     } else {
       sim::ReportOptions opt;
       opt.top_lines = top;
-      out = sweep ? sim::render_sweep_report(doc)
-                  : sim::render_report(doc, opt);
-      rc = sim::check_invariants(doc).empty() ? 0 : 1;
+      out = sweep ? sim::render_sweep_report(doc, findings)
+                  : sim::render_report(doc, findings, opt);
+      rc = findings.empty() ? 0 : 1;
     }
     if (!diff && !html.empty()) {
       const std::string page = sim::render_html(doc);
