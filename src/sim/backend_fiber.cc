@@ -15,6 +15,12 @@
 // backend; fibers only change the transfer mechanism. Exceptions stay
 // fiber-local — the engine's thread_main catches everything before the
 // fiber exits, and unwinding never crosses a switch frame.
+//
+// Under AddressSanitizer every switch is announced to it
+// (__sanitizer_start_switch_fiber before, __sanitizer_finish_switch_fiber
+// after), so ASan knows which stack is live and an exception unwinding a
+// fiber stack is not mistaken for a stack-use-after-scope. In any other
+// build the TSXHPC_ASAN_* hooks expand to nothing.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +32,28 @@
 
 #if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TSXHPC_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TSXHPC_ASAN_FIBERS 1
+#endif
+#endif
+
+#if defined(TSXHPC_ASAN_FIBERS)
+#include <sanitizer/common_interface_defs.h>
+// Leaving the running context for the stack [bottom, bottom + size); its
+// fake stack is parked in *save (null: it never resumes, drop it).
+#define TSXHPC_ASAN_START(save, bottom, size) \
+  __sanitizer_start_switch_fiber(save, bottom, size)
+// Back on a context: restore its parked fake stack (null for a fresh one).
+#define TSXHPC_ASAN_FINISH(save) \
+  __sanitizer_finish_switch_fiber(save, nullptr, nullptr)
+#else
+#define TSXHPC_ASAN_START(save, bottom, size) ((void)0)
+#define TSXHPC_ASAN_FINISH(save) ((void)0)
 #endif
 
 // The Itanium C++ ABI keeps per-thread exception-handling state (the
@@ -101,6 +129,9 @@ class FiberBackend final : public ExecutionBackend {
     body_ = &body;
     fibers_.clear();
     fibers_.resize(n);
+#if defined(TSXHPC_ASAN_FIBERS)
+    driver_bottom_ = nullptr;  // learned when the first fiber starts
+#endif
     switch_from_driver(first);
     // All fibers have exited (the last one switched back here); release
     // their stacks. The saved contexts pointing into them are dead.
@@ -111,11 +142,14 @@ class FiberBackend final : public ExecutionBackend {
   void transfer(ThreadId from, ThreadId to) override {
     prepare(to);
     swap_eh(fibers_[from].eh_state, fibers_[to].eh_state);
+    TSXHPC_ASAN_START(&fibers_[from].asan_fake_stack, fibers_[to].stack.get(),
+                      stack_bytes_);
 #if defined(__x86_64__)
     tsxhpc_ctx_swap(&fibers_[from].sp, fibers_[to].sp);
 #else
     swapcontext(&fibers_[from].ctx, &fibers_[to].ctx);
 #endif
+    TSXHPC_ASAN_FINISH(fibers_[from].asan_fake_stack);
   }
 
   void exit_transfer(ThreadId from, ThreadId to) override {
@@ -123,6 +157,7 @@ class FiberBackend final : public ExecutionBackend {
       transfer(from, to);  // saved context is simply never resumed
     } else {
       swap_eh(fibers_[from].eh_state, driver_eh_);
+      TSXHPC_ASAN_START(nullptr, driver_bottom_, driver_size_);
 #if defined(__x86_64__)
       tsxhpc_ctx_swap(&fibers_[from].sp, driver_sp_);
 #else
@@ -133,6 +168,17 @@ class FiberBackend final : public ExecutionBackend {
 
   /// Called from the entry shim: run the body of the fiber being started.
   void fiber_main() {
+#if defined(TSXHPC_ASAN_FIBERS)
+    // A fresh fiber has no fake stack to restore. The first fiber of a run
+    // is entered from the driver, whose stack the final exit returns to.
+    const void* from_bottom = nullptr;
+    std::size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(nullptr, &from_bottom, &from_size);
+    if (driver_bottom_ == nullptr) {
+      driver_bottom_ = from_bottom;
+      driver_size_ = from_size;
+    }
+#endif
     const ThreadId t = start_tid_;
     (*body_)(t);
     // The engine's thread_main ends in exit_transfer and never returns
@@ -157,6 +203,9 @@ class FiberBackend final : public ExecutionBackend {
     bool started = false;
     // Zero = "no exceptions in flight", the state of a fresh thread.
     unsigned char eh_state[kEhBytes] = {};
+#if defined(TSXHPC_ASAN_FIBERS)
+    void* asan_fake_stack = nullptr;
+#endif
   };
 
   /// Park the outgoing context's EH globals and install the incoming ones.
@@ -169,11 +218,14 @@ class FiberBackend final : public ExecutionBackend {
   void switch_from_driver(ThreadId first) {
     prepare(first);
     swap_eh(driver_eh_, fibers_[first].eh_state);
+    TSXHPC_ASAN_START(&driver_asan_fake_stack_, fibers_[first].stack.get(),
+                      stack_bytes_);
 #if defined(__x86_64__)
     tsxhpc_ctx_swap(&driver_sp_, fibers_[first].sp);
 #else
     swapcontext(&driver_ctx_, &fibers_[first].ctx);
 #endif
+    TSXHPC_ASAN_FINISH(driver_asan_fake_stack_);
   }
 
   /// Lay out `to`'s stack for its first activation, if it has none yet,
@@ -218,6 +270,11 @@ class FiberBackend final : public ExecutionBackend {
   void* driver_sp_ = nullptr;
 #endif
   unsigned char driver_eh_[kEhBytes] = {};
+#if defined(TSXHPC_ASAN_FIBERS)
+  void* driver_asan_fake_stack_ = nullptr;
+  const void* driver_bottom_ = nullptr;
+  std::size_t driver_size_ = 0;
+#endif
 
   std::size_t stack_bytes_;
   std::vector<Fiber> fibers_;

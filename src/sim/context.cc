@@ -6,10 +6,6 @@
 
 namespace tsxhpc::sim {
 
-namespace {
-constexpr Addr kWordMask = ~static_cast<Addr>(7);
-}
-
 int Context::num_threads() const { return m_.engine()->num_threads(); }
 
 Cycles Context::now() const { return m_.engine()->clock(tid_); }

@@ -461,13 +461,8 @@ AccessResult MemorySystem::load(ThreadId t, Addr a, unsigned size) {
 
   // Read our own speculative value if present.
   if (tx.active && !tx.write_buffer.empty()) {
-    const Addr word = a & ~static_cast<Addr>(7);
-    if (const std::uint64_t* buffered = tx.write_buffer.find(word)) {
-      std::uint64_t w = *buffered;
-      const unsigned shift = static_cast<unsigned>(a - word) * 8;
-      std::uint64_t mask =
-          size == 8 ? ~0ULL : ((1ULL << (size * 8)) - 1) << shift;
-      r.value = (w & mask) >> shift;
+    if (const std::uint64_t* buffered = tx.write_buffer.find(word_of(a))) {
+      r.value = word_extract(*buffered, a, size);
       return r;
     }
   }
@@ -489,14 +484,11 @@ AccessResult MemorySystem::store(ThreadId t, Addr a, std::uint64_t v,
   }
 
   // Merge into the word-granularity speculative buffer.
-  const Addr word = a & ~static_cast<Addr>(7);
+  const Addr word = word_of(a);
   bool fresh;
   std::uint64_t& w = tx.write_buffer.slot(word, fresh);
   if (fresh) w = heap_.read_word(word, 8);
-  const unsigned shift = static_cast<unsigned>(a - word) * 8;
-  const std::uint64_t mask =
-      size == 8 ? ~0ULL : ((1ULL << (size * 8)) - 1) << shift;
-  w = (w & ~mask) | ((v << shift) & mask);
+  w = word_insert(w, a, v, size);
   return r;
 }
 

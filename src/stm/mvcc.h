@@ -1,9 +1,9 @@
-// Multi-version concurrency control on top of the TL2-style stripe/clock
-// skeleton — the ROADMAP's "MVCC layer with snapshot read-only transactions
+// Multi-version concurrency control on top of the TL2 versioned layer
+// (tl2.h) — the ROADMAP's "MVCC layer with snapshot read-only transactions
 // and epoch-based garbage collection" item, modeled on the sto
 // MvRegistry/RBTree exemplars (per-thread registries, GC accounting).
 //
-// The update path is deliberately TL2-shaped (stripe write-locks, global
+// The update path is TL2's own commit routine (stripe write-locks, global
 // version clock, commit-time read validation — serializable first-committer-
 // wins, so cross-scheme workload checksums stay comparable and SI write-skew
 // cannot creep in). What MVCC adds is the read path: overwritten values are
@@ -11,20 +11,21 @@
 // that finds its stripe newer than the snapshot walks the chain for the
 // version that was current at `rv` instead of throwing (a stripe still
 // mid-publish is briefly waited out, since its commit may already be inside
-// the snapshot). A
-// transaction that never wrote therefore commits with zero validation work
-// (`snapshot_commits` in the telemetry `cc` block) — the standard answer
-// for read-mostly production traffic.
+// the snapshot). A transaction that never wrote therefore commits with zero
+// validation work (`snapshot_commits` in the telemetry `cc` block) — the
+// standard answer for read-mostly production traffic. Its cleanup on abort
+// withdraws the snapshot from the registry after the versioned layer's.
 //
 // Version chains are host-side bookkeeping, not simulated memory: a chain
 // entry is the *pre-image* of a committed overwrite, keyed by the word
-// address, stamped with the overwriting commit's clock value wv. The entry
-// is appended *before* the new value is stored, so a concurrent snapshot
-// reader always finds either the old memory value (commit not yet at this
-// word) or the chain entry (commit past it) — both equal the value at rv.
-// Chain walks are charged simulated compute per hop; they cost time, just
-// not coherence traffic (the chain is thread-private history in real MVCC
-// implementations too).
+// address, stamped with the overwriting commit's clock value wv. The
+// pre-images are kept beside the write log, one per logged word, and the
+// commit's publish step appends each *before* its new value is stored, so a
+// concurrent snapshot reader always finds either the old memory value
+// (commit not yet at this word) or the chain entry (commit past it) — both
+// equal the value at rv. Chain walks are charged simulated compute per hop;
+// they cost time, just not coherence traffic (the chain is thread-private
+// history in real MVCC implementations too).
 //
 // Epoch GC: every kGcInterval update commits, the committer prunes entries
 // no active snapshot can reach (wv <= min active rv, read from the
@@ -33,45 +34,23 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/context.h"
-#include "sim/machine.h"
-#include "sim/shared.h"
-#include "stm/stm.h"
+#include "stm/tl2.h"
 
 namespace tsxhpc::stm {
 
-using sim::Addr;
-using sim::Context;
-using sim::Machine;
-
-/// Shared MVCC metadata: TL2-style stripe locks + clock, the host-side
-/// version chains, and the per-thread active-snapshot registry.
-class MvccSpace {
+/// Shared MVCC metadata: the versioned stripes (`mvcc/clock`, then
+/// `mvcc/stripes`), the host-side version chains, and the per-thread
+/// active-snapshot registry.
+class MvccSpace : public VersionedStripes {
  public:
-  MvccSpace(Machine& m, std::size_t stripes = 1 << 16, unsigned shift = 3)
-      : shift_(shift),
-        mask_(stripes - 1),
-        clock_(
-            sim::Shared<std::uint64_t>::alloc(m, {.name = "mvcc/clock"}, 2)),
-        locks_(sim::SharedArray<std::uint64_t>::alloc(
-            m, {.name = "mvcc/stripes"}, stripes, 2)) {
-    if ((stripes & (stripes - 1)) != 0) {
-      throw sim::SimError("MVCC stripe count must be a power of two");
-    }
-  }
-
-  // Versioned lock encoding (same as TL2): bit0 = locked; else even version.
-  sim::Shared<std::uint64_t> lock_for(Addr a) const {
-    return locks_.at((a >> shift_) & mask_);
-  }
-  sim::Shared<std::uint64_t> clock() const { return clock_; }
+  explicit MvccSpace(Machine& m)
+      : VersionedStripes(m, "mvcc/clock", "mvcc/stripes") {}
 
   /// Per-thread snapshot registry (the MvRegistry idea): a transaction
   /// publishes its rv at begin and withdraws it at commit/abort; GC reads
@@ -140,50 +119,29 @@ class MvccSpace {
     std::uint64_t pre_image;  // word value it replaced
   };
 
-  unsigned shift_;
-  std::size_t mask_;
-  sim::Shared<std::uint64_t> clock_;
-  sim::SharedArray<std::uint64_t> locks_;
   std::map<Addr, std::vector<Version>> chains_;  // ordered => deterministic
   std::map<sim::ThreadId, std::uint64_t> active_;
   std::uint64_t update_commits_ = 0;
 };
 
 /// Per-thread MVCC transaction descriptor.
-class MvccTx {
+class MvccTx final : public VersionedTx {
  public:
-  explicit MvccTx(MvccSpace& space) : space_(space) {}
+  explicit MvccTx(MvccSpace& space, std::string scheme = {})
+      : VersionedTx(space, std::move(scheme)), space_(space) {}
 
   void begin(Context& c) {
-    read_set_.clear();
-    write_map_.clear();
-    write_log_.clear();
-    commit_actions_.clear();
-    rv_ = space_.clock().load(c);
-    if (rv_ & 1) rv_ ^= 1;  // snapshot must be even (unlocked)
+    start_snapshot(c);
+    pre_images_.clear();
     tid_ = c.tid();
     space_.set_active(tid_, rv_);
-    active_ = true;
-    starts_++;
-  }
-
-  /// Register an action to run iff this transaction commits. Discarded on
-  /// abort.
-  void on_commit(std::function<void(Context&)> action) {
-    commit_actions_.push_back(std::move(action));
   }
 
   /// Snapshot read: never aborts. Fast path = TL2-style sandwich when the
   /// stripe is quiescent at or before rv; otherwise walk the version chain.
   std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
-    // Write-set lookup first (read-your-writes).
-    if (!write_map_.empty()) {
-      if (auto it = write_map_.find(detail::word_key(a));
-          it != write_map_.end()) {
-        return detail::word_extract(write_log_[it->second].value, a, size);
-      }
-    }
-    auto lock = space_.lock_for(a);
+    if (std::uint64_t own; logged(a, size, own)) return own;
+    auto lock = stripes_.lock_for(a);
     for (;;) {
       const std::uint64_t v1 = lock.load(c);
       if ((v1 & 1) != 0) {
@@ -197,13 +155,13 @@ class MvccTx {
       }
       // Version-sandwiched memory load: `word` is the stripe's stable value
       // at version v1.
-      const std::uint64_t word = c.load(detail::word_key(a), 8);
+      const std::uint64_t word = c.load(sim::word_of(a), 8);
       const std::uint64_t v2 = lock.load(c);
       if (v1 != v2) continue;  // the stripe moved under us — recheck
       read_set_.push_back(lock.addr());
       if (v1 <= rv_) {
         c.compute(kBookkeeping);
-        return detail::word_extract(word, a, size);
+        return sim::word_extract(word, a, size);
       }
       // The stripe is newer than rv. Update transactions recorded it above
       // — commit validation will see the too-new version and abort them
@@ -214,173 +172,62 @@ class MvccTx {
       // The lookup runs host-side directly after the sandwich, with no
       // yield in between.
       std::uint64_t value = 0, hops = 0, depth = 0;
-      const bool in_chain = space_.chain_lookup(detail::word_key(a), rv_,
-                                                &value, &hops, &depth);
-      version_chain_hops_ += hops;
-      version_chain_depth_max_ = std::max(version_chain_depth_max_, depth);
+      const bool in_chain = space_.chain_lookup(sim::word_of(a), rv_, &value,
+                                                &hops, &depth);
+      stats_.version_chain_hops += hops;
+      stats_.version_chain_depth_max =
+          std::max(stats_.version_chain_depth_max, depth);
       c.compute(kBookkeeping + kChainHop * static_cast<sim::Cycles>(hops));
-      return detail::word_extract(in_chain ? value : word, a, size);
+      return sim::word_extract(in_chain ? value : word, a, size);
     }
   }
 
   void write(Context& c, Addr a, std::uint64_t value, unsigned size = 8) {
-    const Addr k = detail::word_key(a);
-    auto [it, fresh] = write_map_.try_emplace(k, write_log_.size());
-    if (fresh) {
-      const std::uint64_t orig = c.load(k, 8);
-      write_log_.push_back({k, orig, orig});
+    std::uint64_t pre_image;
+    if (log_write(c, a, value, size, pre_image)) {
+      pre_images_.push_back(pre_image);
     }
-    write_log_[it->second].value =
-        detail::word_insert(write_log_[it->second].value, a, value, size);
-    c.compute(kBookkeeping);
   }
 
   /// Commit. Read-only transactions commit for free (the snapshot *is* the
   /// serialization point); update transactions validate like TL2 and
   /// publish pre-images to the version chains.
   void commit(Context& c) {
-    if (write_log_.empty()) {
+    if (writes_.empty()) {
       space_.clear_active(tid_);
-      active_ = false;
-      commits_++;
-      snapshot_commits_++;
-      run_commit_actions(c);
+      stats_.snapshot_commits++;
+      finish_commit(c);
       return;
     }
-    std::vector<Addr> lock_addrs;
-    lock_addrs.reserve(write_log_.size());
-    for (const auto& w : write_log_) {
-      lock_addrs.push_back(space_.lock_for(w.addr).addr());
-    }
-    std::sort(lock_addrs.begin(), lock_addrs.end());
-    lock_addrs.erase(std::unique(lock_addrs.begin(), lock_addrs.end()),
-                     lock_addrs.end());
-    std::size_t got = 0;
-    for (; got < lock_addrs.size(); ++got) {
-      const std::uint64_t v = c.load(lock_addrs[got], 8);
-      if ((v & 1) != 0 || v > rv_ || !c.cas(lock_addrs[got], v, v | 1, 8)) {
-        break;
-      }
-    }
-    if (got != lock_addrs.size()) {
-      release_locks(c, lock_addrs, got, /*new_version=*/0);
-      abort_tx(c, StmAbortKind::kLockAcquire);
-    }
-    const std::uint64_t wv = space_.clock().fetch_add(c, 2) + 2;
-    if (wv != rv_ + 2) {
-      for (Addr la : read_set_) {
-        const std::uint64_t v = c.load(la, 8);
-        const bool locked_by_us =
-            (v & 1) != 0 &&
-            std::binary_search(lock_addrs.begin(), lock_addrs.end(), la);
-        if (((v & 1) != 0 && !locked_by_us) || (v & ~1ULL) > rv_) {
-          release_locks(c, lock_addrs, lock_addrs.size(), 0);
-          abort_tx(c, StmAbortKind::kCommitValidation);
-        }
-      }
-    }
-    // Publish: append each pre-image *before* storing the new value, so a
-    // concurrent snapshot reader finds one or the other (both correct at
-    // its rv — see the header comment).
-    for (const auto& w : write_log_) {
-      space_.chain_append(w.addr, wv, w.orig);
-      versions_created_++;
-      c.store(w.addr, w.value, 8);
-    }
-    release_locks(c, lock_addrs, lock_addrs.size(), wv);
+    const std::uint64_t wv =
+        commit_writes(c, [this](std::size_t i, std::uint64_t at) {
+          space_.chain_append(writes_.words()[i].first, at, pre_images_[i]);
+          stats_.versions_created++;
+        });
     space_.clear_active(tid_);
-    active_ = false;
-    commits_++;
     if (space_.note_update_commit()) {
       const std::uint64_t reclaimed = space_.gc(wv);
-      gc_runs_++;
-      gc_reclaims_ += reclaimed;
+      stats_.gc_runs++;
+      stats_.gc_reclaims += reclaimed;
       c.compute(kGcBase + kGcPerReclaim * static_cast<sim::Cycles>(reclaimed));
     }
-    run_commit_actions(c);
-  }
-
-  bool active() const { return active_; }
-  std::uint64_t starts() const { return starts_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t aborts() const { return aborts_; }
-  std::uint64_t aborts(StmAbortKind k) const {
-    return aborts_by_kind_[static_cast<std::size_t>(k)];
-  }
-  std::uint64_t snapshot_commits() const { return snapshot_commits_; }
-  std::uint64_t versions_created() const { return versions_created_; }
-  std::uint64_t version_chain_hops() const { return version_chain_hops_; }
-  std::uint64_t version_chain_depth_max() const {
-    return version_chain_depth_max_;
-  }
-  std::uint64_t gc_runs() const { return gc_runs_; }
-  std::uint64_t gc_reclaims() const { return gc_reclaims_; }
-  void reset_stats() {
-    starts_ = commits_ = aborts_ = snapshot_commits_ = 0;
-    versions_created_ = version_chain_hops_ = version_chain_depth_max_ = 0;
-    gc_runs_ = gc_reclaims_ = 0;
-    aborts_by_kind_ = {};
+    finish_commit(c);
   }
 
  private:
-  struct WriteEntry {
-    Addr addr;            // word-aligned
-    std::uint64_t value;  // merged new value
-    std::uint64_t orig;   // pre-image at first buffering (validated fresh)
-  };
-
-  void release_locks(Context& c, const std::vector<Addr>& addrs,
-                     std::size_t count, std::uint64_t new_version) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (new_version != 0) {
-        c.store(addrs[i], new_version, 8);
-      } else {
-        const std::uint64_t v = c.load(addrs[i], 8);
-        c.store(addrs[i], v & ~1ULL, 8);
-      }
-    }
-  }
-
-  [[noreturn]] void abort_tx(Context& c, StmAbortKind kind) {
+  void cleanup(Context& c) override {
+    VersionedTx::cleanup(c);
     space_.clear_active(tid_);
-    active_ = false;
-    aborts_++;
-    aborts_by_kind_[static_cast<std::size_t>(kind)]++;
-    commit_actions_.clear();
-    c.compute(kAbortPenalty);
-    throw StmAbort{kind};
   }
 
-  void run_commit_actions(Context& c) {
-    for (auto& action : commit_actions_) action(c);
-    commit_actions_.clear();
-  }
-
-  static constexpr sim::Cycles kBookkeeping = 6;
-  static constexpr sim::Cycles kAbortPenalty = 120;
   static constexpr sim::Cycles kChainHop = 4;
   static constexpr sim::Cycles kLockSpin = 4;
   static constexpr sim::Cycles kGcBase = 40;
   static constexpr sim::Cycles kGcPerReclaim = 2;
 
   MvccSpace& space_;
-  std::uint64_t rv_ = 0;
   sim::ThreadId tid_ = 0;
-  bool active_ = false;
-  std::vector<Addr> read_set_;
-  std::unordered_map<Addr, std::size_t> write_map_;
-  std::vector<WriteEntry> write_log_;
-  std::vector<std::function<void(Context&)>> commit_actions_;
-  std::uint64_t starts_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
-  std::array<std::uint64_t, 3> aborts_by_kind_{};
-  std::uint64_t snapshot_commits_ = 0;
-  std::uint64_t versions_created_ = 0;
-  std::uint64_t version_chain_hops_ = 0;
-  std::uint64_t version_chain_depth_max_ = 0;
-  std::uint64_t gc_runs_ = 0;
-  std::uint64_t gc_reclaims_ = 0;
+  std::vector<std::uint64_t> pre_images_;  // parallel to writes_.words()
 };
 
 }  // namespace tsxhpc::stm

@@ -17,46 +17,37 @@
 //   kLock   — reads take the stripe lock at encounter time, no-wait
 //             (locked stripe => immediate abort, so no deadlock) ("trlock").
 //   kHybrid — start optimistic, switch to locking reads for the retries
-//             after an abort of the same region ("trlock-hybrid").
+//             after an abort of the same region ("trlock-hybrid"). The
+//             descriptor makes that switch itself: an abort arms locking
+//             reads, a commit disarms them.
 //
-// Cost profile is kept deliberately comparable to TL2 (same kBookkeeping /
-// kAbortPenalty, same word-granularity write buffering) so scheme
-// comparisons measure the algorithm, not accounting skew.
+// The write log, abort path and costs are the shared STM skeleton
+// (stm.h), so scheme comparisons measure the algorithm, not accounting
+// skew. TicToc's commit orders itself (lock the write stripes, compute
+// commit_ts, validate-and-extend, publish) and its cleanup on abort
+// releases every stripe it owns.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/context.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
 #include "stm/stm.h"
 
 namespace tsxhpc::stm {
 
-using sim::Addr;
-using sim::Context;
-using sim::Machine;
-
 /// How TicToc transactional reads acquire their consistency guarantee.
 enum class TicTocReadMode : std::uint8_t { kOcc, kLock, kHybrid };
 
-inline const char* to_string(TicTocReadMode m) {
-  switch (m) {
-    case TicTocReadMode::kOcc: return "occ";
-    case TicTocReadMode::kLock: return "lock";
-    case TicTocReadMode::kHybrid: return "hybrid";
-  }
-  return "?";
-}
 
-/// Shared TicToc metadata: the per-stripe timestamp-word table. There is no
-/// global clock — that is the point of the algorithm.
+/// Shared TicToc metadata: the per-stripe timestamp-word table
+/// (`tictoc/stripes`). There is no global clock — that is the point of the
+/// algorithm.
 class TicTocSpace {
  public:
   // TS-word encoding: bit 0 = locked; bits 1..40 = wts; bits 41..63 = delta,
@@ -80,63 +71,39 @@ class TicTocSpace {
     return wts(w) + (w >> (1 + kWtsBits));
   }
 
-  /// `stripes` must be a power of two; stripe = addr >> shift, like TL2.
-  TicTocSpace(Machine& m, std::size_t stripes = 1 << 16, unsigned shift = 3)
-      : shift_(shift),
-        mask_(stripes - 1),
-        words_(sim::SharedArray<std::uint64_t>::alloc(
-            m, {.name = "tictoc/stripes"}, stripes,
-            pack(/*wts=*/2, /*rts=*/2, /*locked=*/false))) {
-    if ((stripes & (stripes - 1)) != 0) {
-      throw sim::SimError("TicToc stripe count must be a power of two");
-    }
-  }
+  explicit TicTocSpace(Machine& m)
+      : words_(sim::SharedArray<std::uint64_t>::alloc(
+            m, {.name = "tictoc/stripes"}, kStripes,
+            pack(/*wts=*/2, /*rts=*/2, /*locked=*/false))) {}
 
   sim::Shared<std::uint64_t> word_for(Addr a) const {
-    return words_.at((a >> shift_) & mask_);
+    return words_.at(stripe_of(a));
   }
 
  private:
-  unsigned shift_;
-  std::size_t mask_;
   sim::SharedArray<std::uint64_t> words_;
 };
 
 /// Per-thread TicToc transaction descriptor.
-class TicTocTx {
+class TicTocTx final : public StmTx {
  public:
-  explicit TicTocTx(TicTocSpace& space) : space_(space) {}
+  explicit TicTocTx(TicTocSpace& space,
+                    TicTocReadMode mode = TicTocReadMode::kOcc,
+                    std::string scheme = {})
+      : StmTx(std::move(scheme)), space_(space), mode_(mode) {}
 
-  /// `mode` is the effective read mode for this attempt: kOcc or kLock.
-  /// (kHybrid is a region-level policy — the caller maps it to kOcc for the
-  /// first attempt and kLock after an abort.)
-  void begin(Context& /*c*/, TicTocReadMode mode = TicTocReadMode::kOcc) {
+  void begin(Context& /*c*/) {
+    start();
     read_set_.clear();
-    write_map_.clear();
-    write_log_.clear();
     owned_.clear();
-    commit_actions_.clear();
-    mode_ = mode;
-    active_ = true;
-    starts_++;
-  }
-
-  /// Register an action to run iff this transaction commits. Discarded on
-  /// abort.
-  void on_commit(std::function<void(Context&)> action) {
-    commit_actions_.push_back(std::move(action));
+    lock_reads_ = mode_ == TicTocReadMode::kLock ||
+                  (mode_ == TicTocReadMode::kHybrid && retrying_);
   }
 
   std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
-    // Write-set lookup first (read-your-writes).
-    if (!write_map_.empty()) {
-      if (auto it = write_map_.find(detail::word_key(a));
-          it != write_map_.end()) {
-        return detail::word_extract(write_log_[it->second].value, a, size);
-      }
-    }
+    if (std::uint64_t own; logged(a, size, own)) return own;
     auto ts = space_.word_for(a);
-    if (mode_ == TicTocReadMode::kLock) {
+    if (lock_reads_) {
       const std::uint64_t w = lock_word(c, ts);
       const std::uint64_t value = c.load(a, size);
       read_set_.push_back({ts.addr(), TicTocSpace::wts(w),
@@ -159,19 +126,10 @@ class TicTocTx {
   }
 
   void write(Context& c, Addr a, std::uint64_t value, unsigned size = 8) {
-    if (mode_ == TicTocReadMode::kLock) {
-      // Encounter-time locking also covers the write stripe, so commit
-      // needs no further acquisition for it.
-      lock_word(c, space_.word_for(a));
-    }
-    const Addr k = detail::word_key(a);
-    auto [it, fresh] = write_map_.try_emplace(k, write_log_.size());
-    if (fresh) {
-      write_log_.push_back({k, c.load(k, 8)});
-    }
-    write_log_[it->second].value =
-        detail::word_insert(write_log_[it->second].value, a, value, size);
-    c.compute(kBookkeeping);
+    // Encounter-time locking also covers the write stripe, so commit needs
+    // no further acquisition for it.
+    if (lock_reads_) lock_word(c, space_.word_for(a));
+    log_write(c, a, value, size);
   }
 
   /// Commit. Throws StmAbort on failure (state already reset).
@@ -179,9 +137,9 @@ class TicTocTx {
     // Lock the write stripes not already owned. Sorted for deterministic
     // access order; progress comes from no-wait acquisition, not ordering.
     std::vector<Addr> write_stripes;
-    write_stripes.reserve(write_log_.size());
-    for (const auto& w : write_log_) {
-      write_stripes.push_back(space_.word_for(w.addr).addr());
+    write_stripes.reserve(writes_.words().size());
+    for (const auto& [word, value] : writes_.words()) {
+      write_stripes.push_back(space_.word_for(word).addr());
     }
     std::sort(write_stripes.begin(), write_stripes.end());
     write_stripes.erase(
@@ -209,7 +167,7 @@ class TicTocTx {
     for (const ReadEntry& r : read_set_) {
       if (r.rts >= commit_ts) continue;
       if (auto it = owned_.find(r.ts_addr); it != owned_.end()) {
-        // We hold the stripe (write intent or a kLock read). The version
+        // We hold the stripe (write intent or a locking read). The version
         // must still be the one we read — a commit that slipped in between
         // our read and our lock acquisition means the value is stale (the
         // classic lost-update window). Extension itself is settled when we
@@ -230,20 +188,20 @@ class TicTocTx {
                    TicTocSpace::pack(r.wts, commit_ts, false), 8)) {
           abort_tx(c, StmAbortKind::kCommitValidation);
         }
-        read_set_extensions_++;
+        stats_.read_set_extensions++;
       }
     }
     // Write back, then release every owned stripe: write stripes publish
     // (wts = rts = commit_ts); read-locked stripes keep their version with
     // rts extended to commit_ts.
-    for (const auto& w : write_log_) c.store(w.addr, w.value, 8);
+    for (const auto& [word, value] : writes_.words()) c.store(word, value, 8);
     for (const auto& [ta, w] : owned_) {
       if (std::binary_search(write_stripes.begin(), write_stripes.end(),
                              ta)) {
         c.store(ta, TicTocSpace::pack(commit_ts, commit_ts, false), 8);
       } else {
         const std::uint64_t old_rts = TicTocSpace::rts(w);
-        if (old_rts < commit_ts) read_set_extensions_++;
+        if (old_rts < commit_ts) stats_.read_set_extensions++;
         c.store(ta,
                 TicTocSpace::pack(TicTocSpace::wts(w),
                                   std::max(old_rts, commit_ts), false),
@@ -251,22 +209,8 @@ class TicTocTx {
       }
     }
     owned_.clear();
-    active_ = false;
-    commits_++;
-    run_commit_actions(c);
-  }
-
-  bool active() const { return active_; }
-  std::uint64_t starts() const { return starts_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t aborts() const { return aborts_; }
-  std::uint64_t aborts(StmAbortKind k) const {
-    return aborts_by_kind_[static_cast<std::size_t>(k)];
-  }
-  std::uint64_t read_set_extensions() const { return read_set_extensions_; }
-  void reset_stats() {
-    starts_ = commits_ = aborts_ = read_set_extensions_ = 0;
-    aborts_by_kind_ = {};
+    retrying_ = false;
+    finish_commit(c);
   }
 
  private:
@@ -275,12 +219,8 @@ class TicTocTx {
     std::uint64_t wts;
     std::uint64_t rts;
   };
-  struct WriteEntry {
-    Addr addr;  // word-aligned
-    std::uint64_t value;
-  };
 
-  /// No-wait stripe lock for kLock-mode reads/writes: a held stripe aborts
+  /// No-wait stripe lock for locking reads/writes: a held stripe aborts
   /// immediately (kLockAcquire), so encounter-time locking cannot deadlock.
   /// Returns the (locked) ts-word. Idempotent per stripe.
   std::uint64_t lock_word(Context& c, sim::Shared<std::uint64_t> ts) {
@@ -295,43 +235,20 @@ class TicTocTx {
     return w | 1;
   }
 
-  void release_owned(Context& c) {
-    // std::map iteration => ascending, deterministic release order.
+  /// Restore every owned stripe's pre-lock word (std::map iteration:
+  /// ascending, deterministic release order) and arm hybrid's locking reads.
+  void cleanup(Context& c) override {
     for (const auto& [ta, w] : owned_) c.store(ta, w, 8);
     owned_.clear();
+    retrying_ = true;
   }
-
-  [[noreturn]] void abort_tx(Context& c, StmAbortKind kind) {
-    release_owned(c);
-    active_ = false;
-    aborts_++;
-    aborts_by_kind_[static_cast<std::size_t>(kind)]++;
-    commit_actions_.clear();
-    c.compute(kAbortPenalty);
-    throw StmAbort{kind};
-  }
-
-  void run_commit_actions(Context& c) {
-    for (auto& action : commit_actions_) action(c);
-    commit_actions_.clear();
-  }
-
-  static constexpr sim::Cycles kBookkeeping = 6;
-  static constexpr sim::Cycles kAbortPenalty = 120;
 
   TicTocSpace& space_;
-  TicTocReadMode mode_ = TicTocReadMode::kOcc;
-  bool active_ = false;
+  const TicTocReadMode mode_;
+  bool lock_reads_ = false;  // this attempt's reads take the stripe lock
+  bool retrying_ = false;    // the last attempt aborted
   std::vector<ReadEntry> read_set_;
-  std::unordered_map<Addr, std::size_t> write_map_;
-  std::vector<WriteEntry> write_log_;
   std::map<Addr, std::uint64_t> owned_;  // ts-word addr -> pre-lock word
-  std::vector<std::function<void(Context&)>> commit_actions_;
-  std::uint64_t starts_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
-  std::array<std::uint64_t, 3> aborts_by_kind_{};
-  std::uint64_t read_set_extensions_ = 0;
 };
 
 }  // namespace tsxhpc::stm

@@ -11,84 +11,141 @@
 // Like real TL2 (and unlike RTM), only *annotated* accesses are tracked:
 // workloads route TM_READ/TM_WRITE through this class and may do untracked
 // accesses elsewhere — e.g. labyrinth's private grid copy.
+//
+// The clock, the stripe table and the commit routine form the versioned
+// layer MVCC builds on (mvcc.h): TL2 supplies only its read path, which
+// aborts on any stripe newer than the snapshot.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "sim/context.h"
 #include "sim/machine.h"
 #include "sim/shared.h"
 #include "stm/stm.h"
 
 namespace tsxhpc::stm {
 
-using sim::Addr;
-using sim::Context;
-using sim::Machine;
-
-/// Shared STM metadata: the global version clock and the stripe lock table.
-class Tl2Space {
+/// The global version clock and the versioned stripe-lock table. A lock
+/// word is the even version of the stripe's last commit (2 at start), with
+/// bit 0 set while a committer holds it.
+class VersionedStripes {
  public:
-  /// `stripes` must be a power of two. Each versioned write-lock covers one
-  /// stripe of the address space (stripe = addr >> shift).
-  Tl2Space(Machine& m, std::size_t stripes = 1 << 16, unsigned shift = 3)
-      : shift_(shift),
-        mask_(stripes - 1),
-        clock_(sim::Shared<std::uint64_t>::alloc(m, {.name = "tl2/clock"}, 2)),
-        locks_(sim::SharedArray<std::uint64_t>::alloc(m, {.name = "tl2/stripes"}, stripes, 2)) {
-    if ((stripes & (stripes - 1)) != 0) {
-      throw sim::SimError("TL2 stripe count must be a power of two");
-    }
-  }
+  /// Allocates the clock, then the table, under the two given names.
+  VersionedStripes(Machine& m, std::string_view clock_name,
+                   std::string_view stripes_name)
+      : clock_(sim::Shared<std::uint64_t>::alloc(m, {.name = clock_name}, 2)),
+        locks_(sim::SharedArray<std::uint64_t>::alloc(
+            m, {.name = stripes_name}, kStripes, 2)) {}
 
-  // Versioned lock encoding: bit0 = locked; otherwise value = version
-  // (even). Initial version 2.
   sim::Shared<std::uint64_t> lock_for(Addr a) const {
-    return locks_.at((a >> shift_) & mask_);
+    return locks_.at(stripe_of(a));
   }
   sim::Shared<std::uint64_t> clock() const { return clock_; }
 
  private:
-  unsigned shift_;
-  std::size_t mask_;
   sim::Shared<std::uint64_t> clock_;
   sim::SharedArray<std::uint64_t> locks_;
 };
 
-/// Per-thread TL2 transaction descriptor.
-class Tl2Tx {
+/// The TL2 shared space: `tl2/clock`, then `tl2/stripes`.
+class Tl2Space : public VersionedStripes {
  public:
-  explicit Tl2Tx(Tl2Space& space) : space_(space) {}
+  explicit Tl2Space(Machine& m)
+      : VersionedStripes(m, "tl2/clock", "tl2/stripes") {}
+};
 
-  void begin(Context& c) {
+/// A descriptor over versioned stripes: a clock snapshot at begin, the
+/// stripes its reads saw, and the commit routine. TL2 and MVCC derive from
+/// it and supply their read paths.
+class VersionedTx : public StmTx {
+ protected:
+  VersionedTx(VersionedStripes& stripes, std::string scheme)
+      : StmTx(std::move(scheme)), stripes_(stripes) {}
+
+  /// Open an attempt at the current clock value (made even: unlocked).
+  void start_snapshot(Context& c) {
+    start();
     read_set_.clear();
-    write_map_.clear();
-    write_log_.clear();
-    commit_actions_.clear();
-    rv_ = space_.clock().load(c);
-    if (rv_ & 1) rv_ ^= 1;  // snapshot must be even (unlocked)
-    active_ = true;
-    starts_++;
+    rv_ = stripes_.clock().load(c);
+    if (rv_ & 1) rv_ ^= 1;
   }
 
-  /// Register an action to run iff this transaction commits (e.g. deferred
-  /// frees from a TM-aware allocator). Discarded on abort.
-  void on_commit(std::function<void(Context&)> action) {
-    commit_actions_.push_back(std::move(action));
-  }
-
-  std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
-    // Write-set lookup first (read-your-writes).
-    if (!write_map_.empty()) {
-      if (auto it = write_map_.find(key(a)); it != write_map_.end()) {
-        return extract(write_log_[it->second].value, a, size);
+  /// Commit a non-empty write log: lock its stripes in address order
+  /// (sorting gives the progress guarantee of real TL2's bounded spin), bump
+  /// the clock to wv, re-validate the read set unless no other commit came
+  /// in between, then store each logged word, calling `before_store(i, wv)`
+  /// just before the i-th, and release every stripe at version wv.
+  template <typename BeforeStore>
+  std::uint64_t commit_writes(Context& c, BeforeStore&& before_store) {
+    locks_.clear();
+    for (const auto& [word, value] : writes_.words()) {
+      locks_.push_back(stripes_.lock_for(word).addr());
+    }
+    std::sort(locks_.begin(), locks_.end());
+    locks_.erase(std::unique(locks_.begin(), locks_.end()), locks_.end());
+    for (held_ = 0; held_ < locks_.size(); ++held_) {
+      const Addr la = locks_[held_];
+      const std::uint64_t v = c.load(la, 8);
+      if ((v & 1) != 0 || v > rv_ || !c.cas(la, v, v | 1, 8)) {
+        abort_tx(c, StmAbortKind::kLockAcquire);
       }
     }
-    auto lock = space_.lock_for(a);
+    const std::uint64_t wv = stripes_.clock().fetch_add(c, 2) + 2;
+    if (wv != rv_ + 2) {
+      for (Addr la : read_set_) {
+        const std::uint64_t v = c.load(la, 8);
+        const bool locked_by_us =
+            (v & 1) != 0 &&
+            std::binary_search(locks_.begin(), locks_.end(), la);
+        if (((v & 1) != 0 && !locked_by_us) || (v & ~1ULL) > rv_) {
+          abort_tx(c, StmAbortKind::kCommitValidation);
+        }
+      }
+    }
+    const auto& words = writes_.words();
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      before_store(i, wv);
+      c.store(words[i].first, words[i].second, 8);
+    }
+    for (Addr la : locks_) c.store(la, wv, 8);
+    held_ = 0;
+    return wv;
+  }
+
+  /// Release the stripes a failed commit holds, each back to its version.
+  void cleanup(Context& c) override {
+    for (std::size_t i = 0; i < held_; ++i) {
+      const std::uint64_t v = c.load(locks_[i], 8);
+      c.store(locks_[i], v & ~1ULL, 8);
+    }
+    held_ = 0;
+  }
+
+  VersionedStripes& stripes_;
+  std::uint64_t rv_ = 0;
+  std::vector<Addr> read_set_;  // lock-word addresses
+
+ private:
+  std::vector<Addr> locks_;  // sorted, unique: the write set's stripes
+  std::size_t held_ = 0;     // locks_[0, held_) are ours
+};
+
+/// Per-thread TL2 transaction descriptor.
+class Tl2Tx final : public VersionedTx {
+ public:
+  explicit Tl2Tx(Tl2Space& space, std::string scheme = {})
+      : VersionedTx(space, std::move(scheme)) {}
+
+  void begin(Context& c) { start_snapshot(c); }
+
+  std::uint64_t read(Context& c, Addr a, unsigned size = 8) {
+    if (std::uint64_t own; logged(a, size, own)) return own;
+    auto lock = stripes_.lock_for(a);
     const std::uint64_t v1 = lock.load(c);
     const std::uint64_t value = c.load(a, size);
     const std::uint64_t v2 = lock.load(c);
@@ -101,142 +158,15 @@ class Tl2Tx {
   }
 
   void write(Context& c, Addr a, std::uint64_t value, unsigned size = 8) {
-    const Addr k = key(a);
-    auto [it, fresh] = write_map_.try_emplace(k, write_log_.size());
-    if (fresh) {
-      // Load the enclosing word so sub-word writes merge correctly at
-      // write-back time (real TL2 logs at word granularity too).
-      write_log_.push_back({k, c.load(k, 8)});
-    }
-    write_log_[it->second].value =
-        insert(write_log_[it->second].value, a, value, size);
-    c.compute(kBookkeeping);
+    log_write(c, a, value, size);
   }
 
-  /// Commit. Throws StmAbort on validation failure (state already reset).
+  /// Commit; a read-only transaction's reads are already validated against
+  /// rv. Throws StmAbort on failure (state already reset).
   void commit(Context& c) {
-    if (write_log_.empty()) {
-      // Read-only fast path: reads already validated against rv_.
-      active_ = false;
-      commits_++;
-      run_commit_actions(c);
-      return;
-    }
-    // Acquire stripe locks (sorted to avoid deadlock; real TL2 uses bounded
-    // spin + abort, sorting gives the same progress guarantee).
-    std::vector<Addr> lock_addrs;
-    lock_addrs.reserve(write_log_.size());
-    for (const auto& w : write_log_) {
-      lock_addrs.push_back(space_.lock_for(w.addr).addr());
-    }
-    std::sort(lock_addrs.begin(), lock_addrs.end());
-    lock_addrs.erase(std::unique(lock_addrs.begin(), lock_addrs.end()),
-                     lock_addrs.end());
-    std::size_t got = 0;
-    for (; got < lock_addrs.size(); ++got) {
-      const std::uint64_t v = c.load(lock_addrs[got], 8);
-      if ((v & 1) != 0 || v > rv_ ||
-          !c.cas(lock_addrs[got], v, v | 1, 8)) {
-        break;
-      }
-    }
-    if (got != lock_addrs.size()) {
-      release_locks(c, lock_addrs, got, /*new_version=*/0);
-      abort_tx(c, StmAbortKind::kLockAcquire);
-    }
-    // Increment global clock, validate read set.
-    const std::uint64_t wv = space_.clock().fetch_add(c, 2) + 2;
-    if (wv != rv_ + 2) {
-      for (Addr la : read_set_) {
-        const std::uint64_t v = c.load(la, 8);
-        const bool locked_by_us =
-            (v & 1) != 0 &&
-            std::binary_search(lock_addrs.begin(), lock_addrs.end(), la);
-        if (((v & 1) != 0 && !locked_by_us) || (v & ~1ULL) > rv_) {
-          release_locks(c, lock_addrs, lock_addrs.size(), 0);
-          abort_tx(c, StmAbortKind::kCommitValidation);
-        }
-      }
-    }
-    // Write back and release with the new version.
-    for (const auto& w : write_log_) c.store(w.addr, w.value, 8);
-    release_locks(c, lock_addrs, lock_addrs.size(), wv);
-    active_ = false;
-    commits_++;
-    run_commit_actions(c);
+    if (!writes_.empty()) commit_writes(c, [](std::size_t, std::uint64_t) {});
+    finish_commit(c);
   }
-
-  bool active() const { return active_; }
-  std::uint64_t starts() const { return starts_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t aborts() const { return aborts_; }
-  double abort_rate_pct() const {
-    return starts_ == 0 ? 0.0
-                        : 100.0 * static_cast<double>(aborts_) /
-                              static_cast<double>(starts_);
-  }
-  void reset_stats() { starts_ = commits_ = aborts_ = 0; }
-
- private:
-  struct WriteEntry {
-    Addr addr;  // word-aligned
-    std::uint64_t value;
-  };
-
-  static Addr key(Addr a) { return a & ~static_cast<Addr>(7); }
-
-  static std::uint64_t extract(std::uint64_t word, Addr a, unsigned size) {
-    const unsigned shift = static_cast<unsigned>(a & 7) * 8;
-    const std::uint64_t mask = size == 8 ? ~0ULL : (1ULL << (size * 8)) - 1;
-    return (word >> shift) & mask;
-  }
-
-  static std::uint64_t insert(std::uint64_t word, Addr a, std::uint64_t v,
-                              unsigned size) {
-    const unsigned shift = static_cast<unsigned>(a & 7) * 8;
-    const std::uint64_t mask =
-        size == 8 ? ~0ULL : ((1ULL << (size * 8)) - 1) << shift;
-    return (word & ~mask) | ((v << shift) & mask);
-  }
-
-  void release_locks(Context& c, const std::vector<Addr>& addrs,
-                     std::size_t count, std::uint64_t new_version) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (new_version != 0) {
-        c.store(addrs[i], new_version, 8);
-      } else {
-        const std::uint64_t v = c.load(addrs[i], 8);
-        c.store(addrs[i], v & ~1ULL, 8);
-      }
-    }
-  }
-
-  [[noreturn]] void abort_tx(Context& c, StmAbortKind kind) {
-    active_ = false;
-    aborts_++;
-    commit_actions_.clear();
-    c.compute(kAbortPenalty);
-    throw StmAbort{kind};
-  }
-
-  static constexpr sim::Cycles kBookkeeping = 6;
-  static constexpr sim::Cycles kAbortPenalty = 120;
-
-  void run_commit_actions(Context& c) {
-    for (auto& action : commit_actions_) action(c);
-    commit_actions_.clear();
-  }
-
-  Tl2Space& space_;
-  std::uint64_t rv_ = 0;
-  bool active_ = false;
-  std::vector<Addr> read_set_;
-  std::unordered_map<Addr, std::size_t> write_map_;
-  std::vector<WriteEntry> write_log_;
-  std::vector<std::function<void(Context&)>> commit_actions_;
-  std::uint64_t starts_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
 };
 
 }  // namespace tsxhpc::stm

@@ -1,17 +1,18 @@
 // The pluggable concurrency-control seam behind the TM macro layer —
-// tmlib's analogue of the sync::TxPolicy seam: a per-run `CcBackend` owns
-// whatever shared state the scheme needs (stripe tables, clocks, version
-// chains), hands out one `CcThread` per simulated thread, and the macro
-// layer (`TmThread::atomic`, `TmAccess::read/write`) funnels every region
-// and every annotated access through the handle's hooks.
+// tmlib's analogue of the sync::TxPolicy seam: a per-run `CcBackend` keeps
+// whatever shared state the scheme needs alive (the global lock, stripe
+// tables, clocks, version chains) and vends one `CcThread` per simulated
+// thread; the macro layer (`TmThread::atomic`, `TmAccess::read/write`)
+// funnels every region and every annotated access through the handle's
+// hooks.
 //
-// The seam replaced the closed three-value switch in tm.h. The contract
-// that made that safe, and that every new backend must honor:
+// The contract every backend must honor:
 //
 //   * `execute` owns the whole region lifecycle — retry loop, backoff,
 //     abort classification. The body may run multiple times; host side
 //     effects inside it follow the same idempotence rules as
-//     ElidedLock::critical.
+//     ElidedLock::critical. The STM schemes share one attempt loop, so a
+//     per-region hook (a history recorder, say) has one place to go.
 //   * `read`/`write` are the *annotated* accesses (STAMP's TM_SHARED_*).
 //     The defaults are plain timed load/store — correct for any scheme
 //     whose region is a real critical section (sgl, tsx).
@@ -19,9 +20,9 @@
 //     exactly the simulated operations the scheme needs, so re-expressing
 //     a scheme through the seam is bit-for-bit (for sgl/tl2/tsx the
 //     committed baselines still pin the pre-seam telemetry exactly).
-//   * Every handle keeps its own CcStats; TmThread reports them to the
-//     runtime on destruction, which merges them into the run's telemetry
-//     `cc` block (v7) — the successor of the old report_tl2 side-channel.
+//   * `stats()` is the handle's one counter copy — for an STM scheme, the
+//     descriptor's own; TmThread reports it to the runtime on destruction,
+//     which merges it into the run's telemetry `cc` block.
 #pragma once
 
 #include <cstdint>
@@ -108,27 +109,20 @@ class CcThread {
     throw sim::SimError("defer_to_commit on a non-buffering CC backend");
   }
 
-  const sim::CcStats& stats() const { return stats_; }
-
- protected:
-  sim::CcStats stats_;
+  /// The region counters, labelled with the scheme's to_string(Backend).
+  virtual const sim::CcStats& stats() const = 0;
 };
 
-/// Per-run backend: owns the scheme's shared state, vends thread handles.
-class CcBackend {
- public:
-  virtual ~CcBackend() = default;
-  virtual const char* name() const = 0;
-  virtual std::unique_ptr<CcThread> attach() = 0;
-};
+/// Per-run backend: each call vends one thread handle; the function keeps
+/// the scheme's shared state alive.
+using CcBackend = std::function<std::unique_ptr<CcThread>()>;
 
 /// Build the backend for `b`. The sgl/tl2/tsx backends borrow the runtime's
 /// pre-seam allocations (`global_lock`, `tl2_space`) so their heap layout —
 /// and therefore their telemetry — is bit-for-bit the pre-seam layout; the
-/// new schemes allocate their own spaces afterwards (appended allocations
-/// do not disturb the historic `bump` layout).
-std::unique_ptr<CcBackend> make_cc_backend(Machine& m, Backend b,
-                                           sync::ElidedLock& global_lock,
-                                           stm::Tl2Space& tl2_space);
+/// new schemes allocate their own spaces here, afterwards (appended
+/// allocations do not disturb the historic `bump` layout).
+CcBackend make_cc_backend(Machine& m, Backend b, sync::ElidedLock& global_lock,
+                          stm::Tl2Space& tl2_space);
 
 }  // namespace tsxhpc::tmlib

@@ -36,17 +36,13 @@ namespace tsxhpc::tmlib {
 class TmRuntime {
  public:
   TmRuntime(Machine& m, Backend backend)
-      : backend_(backend),
-        global_lock_(m),
+      : global_lock_(m),
         tl2_space_(m),
         machine_(&m),
         cc_(make_cc_backend(m, backend, global_lock_, tl2_space_)) {}
 
-  Backend backend() const { return backend_; }
-  sync::ElidedLock& global_lock() { return global_lock_; }
-  stm::Tl2Space& tl2_space() { return tl2_space_; }
-  Machine& machine() { return *machine_; }
-  CcBackend& cc_backend() { return *cc_; }
+  /// A new handle on the run's scheme, for one simulated thread.
+  std::unique_ptr<CcThread> attach() const { return cc_(); }
 
   /// Aggregated CC statistics, reported by TmThread on destruction
   /// (host-side state; simulated threads are token-serialized). Also
@@ -58,7 +54,6 @@ class TmRuntime {
   const sim::CcStats& cc_stats() const { return cc_stats_; }
 
  private:
-  Backend backend_;
   // Pre-seam allocation order (lock word, then TL2 clock + stripes) is load-
   // bearing: the committed baselines pin sgl/tl2/tsx results produced on
   // this heap layout. New backends allocate their spaces inside
@@ -67,7 +62,7 @@ class TmRuntime {
   stm::Tl2Space tl2_space_;
   Machine* machine_;
   sim::CcStats cc_stats_;
-  std::unique_ptr<CcBackend> cc_;
+  CcBackend cc_;
 };
 
 class TmAccess;
@@ -76,7 +71,7 @@ class TmAccess;
 class TmThread {
  public:
   TmThread(TmRuntime& rt, Context& c)
-      : rt_(rt), c_(c), cc_(rt.cc_backend().attach()) {}
+      : rt_(rt), c_(c), cc_(rt.attach()) {}
 
   ~TmThread() { rt_.record_cc(cc_->stats()); }
 
@@ -88,10 +83,6 @@ class TmThread {
   /// must follow the same idempotence rules as ElidedLock::critical.
   template <typename F>
   void atomic(F&& f);
-
-  Context& ctx() { return c_; }
-  TmRuntime& runtime() { return rt_; }
-  CcThread& cc() { return *cc_; }
 
  private:
   friend class TmAccess;
@@ -151,15 +142,12 @@ class TmAccess {
   }
 
   Context& ctx() { return c_; }
-  Backend backend() const { return backend_; }
 
  private:
   friend class TmThread;
-  TmAccess(TmThread& t)
-      : c_(t.c_), cc_(t.cc_.get()), backend_(t.rt_.backend()) {}
+  TmAccess(TmThread& t) : c_(t.c_), cc_(t.cc_.get()) {}
   Context& c_;
   CcThread* cc_;
-  Backend backend_;
 };
 
 template <typename F>

@@ -2,8 +2,13 @@
 // transactional read/write sets, conflicts, and capacity aborts.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "sim/machine.h"
+#include "sim/rng.h"
 #include "sim/shared.h"
+#include "sim/write_buffer.h"
 
 namespace tsxhpc::sim {
 namespace {
@@ -39,6 +44,56 @@ TEST(SharedHeap, SubWordAccess) {
   h.write_word(a, 0x1122334455667788ULL, 8);
   EXPECT_EQ(h.read_word(a, 1), 0x88u);
   EXPECT_EQ(h.read_word(a + 4, 4), 0x11223344u);
+}
+
+// The write log both transactional memories keep (RTM's store buffer and
+// every STM descriptor's), against a model: a map from word to value plus
+// the words in first-write order. Round sizes straddle the index's growth
+// points (16, 32, 64 and 128 slots hold up to 8, 16, 32 and 64 words), and
+// clear() between rounds must leave no stale word findable.
+TEST(WriteBuffer, MatchesAMapModel) {
+  Xoshiro256 rng(7);
+  WriteBuffer buf;
+  std::vector<Addr> previous;
+  for (std::size_t words : {1, 8, 9, 16, 17, 32, 33, 64, 65, 3, 40, 90}) {
+    for (Addr w : previous) ASSERT_EQ(buf.find(w), nullptr);
+    std::vector<Addr> pool;
+    for (std::size_t i = 0; i < words; ++i) {
+      pool.push_back(8 * rng.next_below(std::uint64_t{1} << 20));
+    }
+    std::map<Addr, std::uint64_t> model;
+    std::vector<Addr> order;
+    for (std::size_t op = 0; op < 8 * words; ++op) {
+      const Addr w = pool[rng.next_below(words)];
+      if (rng.next_below(3) == 0) {
+        const std::uint64_t* v = buf.find(w);
+        const auto it = model.find(w);
+        ASSERT_EQ(v != nullptr, it != model.end());
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second);
+        }
+        continue;
+      }
+      bool fresh;
+      std::uint64_t& v = buf.slot(w, fresh);
+      ASSERT_EQ(fresh, model.count(w) == 0);
+      if (fresh) {
+        ASSERT_EQ(v, 0u);
+        order.push_back(w);
+      }
+      v = rng.next();
+      model[w] = v;
+    }
+    ASSERT_EQ(buf.words().size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(buf.words()[i].first, order[i]) << "first-write order";
+      ASSERT_EQ(buf.words()[i].second, model[order[i]]);
+      ASSERT_EQ(*buf.find(order[i]), model[order[i]]);
+    }
+    buf.clear();
+    ASSERT_TRUE(buf.empty());
+    previous = pool;
+  }
 }
 
 TEST(Memory, LoadStoreRoundTrip) {

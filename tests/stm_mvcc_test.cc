@@ -1,5 +1,6 @@
-// Unit and property tests for the MVCC layer: snapshot reads, version
-// chains, validation-free read-only commits, epoch GC.
+// Unit tests for the MVCC layer: snapshot reads, version chains,
+// validation-free read-only commits, epoch GC (the properties every STM
+// scheme shares are in stm_property_test.cc).
 #include <gtest/gtest.h>
 
 #include "sim/rng.h"
@@ -12,38 +13,6 @@ using sim::Context;
 using sim::Machine;
 using sim::Shared;
 using sim::SharedArray;
-
-TEST(Mvcc, ReadYourOwnWrites) {
-  Machine m;
-  MvccSpace space(m);
-  auto cell = Shared<std::uint64_t>::alloc(m, 3);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    MvccTx tx(space);
-    tx.begin(c);
-    EXPECT_EQ(tx.read(c, cell.addr()), 3u);
-    tx.write(c, cell.addr(), 9);
-    EXPECT_EQ(tx.read(c, cell.addr()), 9u);
-    EXPECT_EQ(cell.peek(m), 3u) << "no write-back before commit";
-    tx.commit(c);
-  }});
-  EXPECT_EQ(cell.peek(m), 9u);
-}
-
-TEST(Mvcc, SubWordWritesMerge) {
-  Machine m;
-  MvccSpace space(m);
-  sim::Addr a = m.alloc(8);
-  m.heap().write_word(a, 0x1111111111111111ULL, 8);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    MvccTx tx(space);
-    tx.begin(c);
-    tx.write(c, a, 0xAB, 1);
-    tx.write(c, a + 4, 0xCDEF, 2);
-    EXPECT_EQ(tx.read(c, a, 1), 0xABu);
-    tx.commit(c);
-  }});
-  EXPECT_EQ(m.heap().read_word(a, 8), 0x1111CDEF111111ABULL);
-}
 
 TEST(Mvcc, SnapshotReadSeesPreImageAcrossConcurrentCommit) {
   // The defining MVCC behaviour: a reader that began before a writer's
@@ -64,9 +33,9 @@ TEST(Mvcc, SnapshotReadSeesPreImageAcrossConcurrentCommit) {
         for (int i = 0; i < 100; ++i) c.compute(100);  // writer commits now
         second = tx.read(c, cell.addr());
         tx.commit(c);
-        aborts = tx.aborts();
-        EXPECT_EQ(tx.snapshot_commits(), 1u);
-        EXPECT_GT(tx.version_chain_hops(), 0u)
+        aborts = tx.stats().aborts;
+        EXPECT_EQ(tx.stats().snapshot_commits, 1u);
+        EXPECT_GT(tx.stats().version_chain_hops, 0u)
             << "the second read must come from the chain";
       },
       [&](Context& c) {
@@ -131,7 +100,7 @@ TEST(Mvcc, ReadOnlySumsAreSnapshotConsistent) {
           bad_sums++;
         }
       }
-      reader_aborts += tx.aborts();
+      reader_aborts += tx.stats().aborts;
     }
   }});
   EXPECT_EQ(bad_sums, 0) << "a snapshot scan must never see a torn transfer";
@@ -139,31 +108,6 @@ TEST(Mvcc, ReadOnlySumsAreSnapshotConsistent) {
   std::uint64_t total = 0;
   for (int i = 0; i < kAccounts; ++i) total += accounts.at(i).peek(m);
   EXPECT_EQ(total, static_cast<std::uint64_t>(kAccounts) * kInitial);
-}
-
-TEST(Mvcc, CounterIncrementsAreLinearizable) {
-  Machine m;
-  MvccSpace space(m);
-  auto counter = Shared<std::uint64_t>::alloc(m, 0);
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-  m.run({.threads = kThreads, .body = [&](Context& c) {
-    MvccTx tx(space);
-    for (int i = 0; i < kIters; ++i) {
-      for (;;) {
-        tx.begin(c);
-        try {
-          const auto v = tx.read(c, counter.addr());
-          tx.write(c, counter.addr(), v + 1);
-          tx.commit(c);
-          break;
-        } catch (const StmAbort&) {
-          c.compute(150);
-        }
-      }
-    }
-  }});
-  EXPECT_EQ(counter.peek(m), static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
 TEST(Mvcc, EpochGcReclaimsUnreachableVersions) {
@@ -180,9 +124,9 @@ TEST(Mvcc, EpochGcReclaimsUnreachableVersions) {
       tx.write(c, cell.addr(), static_cast<std::uint64_t>(i));
       tx.commit(c);
     }
-    gc_runs = tx.gc_runs();
-    gc_reclaims = tx.gc_reclaims();
-    versions = tx.versions_created();
+    gc_runs = tx.stats().gc_runs;
+    gc_reclaims = tx.stats().gc_reclaims;
+    versions = tx.stats().versions_created;
   }});
   EXPECT_GE(gc_runs, 3u);
   EXPECT_GT(gc_reclaims, 0u);

@@ -1,7 +1,9 @@
-// Unit and property tests for the TicToc timestamp-ordering OCC.
+// Unit tests for the TicToc timestamp-ordering OCC (the properties every
+// STM scheme shares are in stm_property_test.cc).
 #include <gtest/gtest.h>
 
-#include "sim/rng.h"
+#include <vector>
+
 #include "stm/tictoc.h"
 
 namespace tsxhpc::stm {
@@ -10,7 +12,6 @@ namespace {
 using sim::Context;
 using sim::Machine;
 using sim::Shared;
-using sim::SharedArray;
 
 TEST(TicToc, TsWordPackingRoundTrips) {
   for (std::uint64_t wts :
@@ -33,38 +34,6 @@ TEST(TicToc, TsWordPackingRoundTrips) {
   EXPECT_EQ(TicTocSpace::rts(w), 10 + TicTocSpace::kDeltaMax);
 }
 
-TEST(TicToc, ReadYourOwnWrites) {
-  Machine m;
-  TicTocSpace space(m);
-  auto cell = Shared<std::uint64_t>::alloc(m, 3);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    TicTocTx tx(space);
-    tx.begin(c);
-    EXPECT_EQ(tx.read(c, cell.addr()), 3u);
-    tx.write(c, cell.addr(), 9);
-    EXPECT_EQ(tx.read(c, cell.addr()), 9u);
-    EXPECT_EQ(cell.peek(m), 3u) << "no write-back before commit";
-    tx.commit(c);
-  }});
-  EXPECT_EQ(cell.peek(m), 9u);
-}
-
-TEST(TicToc, SubWordWritesMerge) {
-  Machine m;
-  TicTocSpace space(m);
-  sim::Addr a = m.alloc(8);
-  m.heap().write_word(a, 0x1111111111111111ULL, 8);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    TicTocTx tx(space);
-    tx.begin(c);
-    tx.write(c, a, 0xAB, 1);
-    tx.write(c, a + 4, 0xCDEF, 2);
-    EXPECT_EQ(tx.read(c, a, 1), 0xABu);
-    tx.commit(c);
-  }});
-  EXPECT_EQ(m.heap().read_word(a, 8), 0x1111CDEF111111ABULL);
-}
-
 TEST(TicToc, RtsExtensionSavesMerelyOldReads) {
   // Thread 0 reads A early, then commits a write to B *after* thread 1 has
   // advanced B's timestamps. Its commit_ts exceeds A's rts, but A itself
@@ -85,8 +54,8 @@ TEST(TicToc, RtsExtensionSavesMerelyOldReads) {
         for (int i = 0; i < 100; ++i) c.compute(100);  // let thread 1 commit
         tx.write(c, b.addr(), 20);
         tx.commit(c);
-        extensions = tx.read_set_extensions();
-        aborts = tx.aborts();
+        extensions = tx.stats().read_set_extensions;
+        aborts = tx.stats().aborts;
       },
       [&](Context& c) {
         c.compute(500);
@@ -102,87 +71,6 @@ TEST(TicToc, RtsExtensionSavesMerelyOldReads) {
   EXPECT_EQ(b.peek(m), 20u);
 }
 
-class TicTocModes : public ::testing::TestWithParam<TicTocReadMode> {};
-
-TEST_P(TicTocModes, CounterIncrementsAreLinearizable) {
-  Machine m;
-  TicTocSpace space(m);
-  auto counter = Shared<std::uint64_t>::alloc(m, 0);
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-  const TicTocReadMode mode = GetParam();
-  m.run({.threads = kThreads, .body = [&](Context& c) {
-    TicTocTx tx(space);
-    for (int i = 0; i < kIters; ++i) {
-      TicTocReadMode attempt =
-          mode == TicTocReadMode::kHybrid ? TicTocReadMode::kOcc : mode;
-      for (;;) {
-        tx.begin(c, attempt);
-        try {
-          const auto v = tx.read(c, counter.addr());
-          tx.write(c, counter.addr(), v + 1);
-          tx.commit(c);
-          break;
-        } catch (const StmAbort&) {
-          if (mode == TicTocReadMode::kHybrid) {
-            attempt = TicTocReadMode::kLock;
-          }
-          c.compute(150);
-        }
-      }
-    }
-  }});
-  EXPECT_EQ(counter.peek(m), static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
-TEST_P(TicTocModes, MoneyConservationProperty) {
-  Machine m;
-  TicTocSpace space(m);
-  constexpr int kAccounts = 32;
-  constexpr std::uint64_t kInitial = 1000;
-  auto accounts = SharedArray<std::uint64_t>::alloc(m, kAccounts, kInitial);
-  const TicTocReadMode mode = GetParam();
-  m.run({.threads = 8, .body = [&](Context& c) {
-    TicTocTx tx(space);
-    sim::Xoshiro256 rng(99 + c.tid());
-    for (int i = 0; i < 150; ++i) {
-      const std::size_t from = rng.next_below(kAccounts);
-      const std::size_t to = rng.next_below(kAccounts);
-      const std::uint64_t amt = rng.next_below(20);
-      TicTocReadMode attempt =
-          mode == TicTocReadMode::kHybrid ? TicTocReadMode::kOcc : mode;
-      for (;;) {
-        tx.begin(c, attempt);
-        try {
-          const auto f = tx.read(c, accounts.addr(from));
-          const auto t = tx.read(c, accounts.addr(to));
-          if (f >= amt && from != to) {
-            tx.write(c, accounts.addr(from), f - amt);
-            tx.write(c, accounts.addr(to), t + amt);
-          }
-          tx.commit(c);
-          break;
-        } catch (const StmAbort&) {
-          if (mode == TicTocReadMode::kHybrid) {
-            attempt = TicTocReadMode::kLock;
-          }
-          c.compute(200);
-        }
-      }
-    }
-  }});
-  std::uint64_t total = 0;
-  for (int i = 0; i < kAccounts; ++i) total += accounts.at(i).peek(m);
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kAccounts) * kInitial);
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, TicTocModes,
-                         ::testing::Values(TicTocReadMode::kOcc,
-                                           TicTocReadMode::kLock,
-                                           TicTocReadMode::kHybrid),
-                         [](const ::testing::TestParamInfo<TicTocReadMode>&
-                                info) { return to_string(info.param); });
-
 TEST(TicToc, LockModeReadOfHeldStripeAbortsNoWait) {
   // No-wait read locking: a stripe held by another transaction aborts the
   // reader immediately (lock_acquire class) instead of deadlocking.
@@ -195,16 +83,16 @@ TEST(TicToc, LockModeReadOfHeldStripeAbortsNoWait) {
   bool aborted = false;
   m.run({.bodies = {
       [&](Context& c) {
-        TicTocTx tx(space);
-        tx.begin(c, TicTocReadMode::kLock);
+        TicTocTx tx(space, TicTocReadMode::kLock);
+        tx.begin(c);
         (void)tx.read(c, cell.addr());  // holds the stripe read lock
         for (int i = 0; i < 100; ++i) c.compute(100);
         tx.commit(c);
       },
       [&](Context& c) {
         c.compute(500);
-        TicTocTx tx(space);
-        tx.begin(c, TicTocReadMode::kLock);
+        TicTocTx tx(space, TicTocReadMode::kLock);
+        tx.begin(c);
         try {
           (void)tx.read(c, cell.addr());
           tx.commit(c);
@@ -216,6 +104,35 @@ TEST(TicToc, LockModeReadOfHeldStripeAbortsNoWait) {
   }});
   EXPECT_TRUE(aborted);
   EXPECT_EQ(kind, StmAbortKind::kLockAcquire);
+}
+
+TEST(TicToc, HybridLocksReadsOnlyOnRetry) {
+  // tictoc-hybrid's switch is the descriptor's own: an aborted optimistic
+  // attempt makes the retry take its read stripes' locks, and a commit
+  // makes the next region optimistic again.
+  Machine m;
+  TicTocSpace space(m);
+  auto cell = Shared<std::uint64_t>::alloc(m, 7);
+  const sim::Addr ts = space.word_for(cell.addr()).addr();
+  const std::uint64_t free_word = m.heap().read_word(ts, 8);
+  std::vector<bool> read_locked;
+  m.run({.threads = 1, .body = [&](Context& c) {
+    TicTocTx tx(space, TicTocReadMode::kHybrid);
+    auto attempt = [&] {
+      tx.begin(c);
+      (void)tx.read(c, cell.addr());
+      read_locked.push_back(TicTocSpace::locked(m.heap().read_word(ts, 8)));
+      tx.commit(c);
+    };
+    m.heap().write_word(ts, free_word | 1, 8);  // a committer holds it
+    EXPECT_THROW(attempt(), StmAbort);
+    m.heap().write_word(ts, free_word, 8);
+    attempt();
+    attempt();
+    EXPECT_EQ(tx.stats().aborts_lock_acquire, 1u);
+    EXPECT_EQ(tx.stats().commits, 2u);
+  }});
+  EXPECT_EQ(read_locked, (std::vector<bool>{true, false}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Unit and property tests for the TL2 software transactional memory.
+// Unit tests for the TL2 software transactional memory (the properties
+// every STM scheme shares are in stm_property_test.cc).
 #include <gtest/gtest.h>
 
-#include "sim/rng.h"
 #include "stm/tl2.h"
 
 namespace tsxhpc::stm {
@@ -9,41 +9,8 @@ namespace {
 
 using sim::Context;
 using sim::Machine;
-using sim::RunStats;
 using sim::Shared;
 using sim::SharedArray;
-
-TEST(Tl2, ReadYourOwnWrites) {
-  Machine m;
-  Tl2Space space(m);
-  auto cell = Shared<std::uint64_t>::alloc(m, 3);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    Tl2Tx tx(space);
-    tx.begin(c);
-    EXPECT_EQ(tx.read(c, cell.addr()), 3u);
-    tx.write(c, cell.addr(), 9);
-    EXPECT_EQ(tx.read(c, cell.addr()), 9u);
-    EXPECT_EQ(cell.peek(m), 3u) << "no write-back before commit";
-    tx.commit(c);
-  }});
-  EXPECT_EQ(cell.peek(m), 9u);
-}
-
-TEST(Tl2, SubWordWritesMerge) {
-  Machine m;
-  Tl2Space space(m);
-  sim::Addr a = m.alloc(8);
-  m.heap().write_word(a, 0x1111111111111111ULL, 8);
-  m.run({.threads = 1, .body = [&](Context& c) {
-    Tl2Tx tx(space);
-    tx.begin(c);
-    tx.write(c, a, 0xAB, 1);
-    tx.write(c, a + 4, 0xCDEF, 2);
-    EXPECT_EQ(tx.read(c, a, 1), 0xABu);
-    tx.commit(c);
-  }});
-  EXPECT_EQ(m.heap().read_word(a, 8), 0x1111CDEF111111ABULL);
-}
 
 TEST(Tl2, ConflictingWriterAbortsReader) {
   // A committed writer bumps the stripe version past the reader's snapshot.
@@ -80,31 +47,6 @@ TEST(Tl2, ConflictingWriterAbortsReader) {
   EXPECT_EQ(aborts, 1);
 }
 
-TEST(Tl2, CounterIncrementsAreLinearizable) {
-  Machine m;
-  Tl2Space space(m);
-  auto counter = Shared<std::uint64_t>::alloc(m, 0);
-  constexpr int kThreads = 8;
-  constexpr int kIters = 250;
-  m.run({.threads = kThreads, .body = [&](Context& c) {
-    Tl2Tx tx(space);
-    for (int i = 0; i < kIters; ++i) {
-      for (;;) {
-        tx.begin(c);
-        try {
-          const auto v = tx.read(c, counter.addr());
-          tx.write(c, counter.addr(), v + 1);
-          tx.commit(c);
-          break;
-        } catch (const StmAbort&) {
-          c.compute(150);
-        }
-      }
-    }
-  }});
-  EXPECT_EQ(counter.peek(m), static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
 TEST(Tl2, ReadOnlyTransactionsAreCheapAndNeverBlockEachOther) {
   Machine m;
   Tl2Space space(m);
@@ -119,45 +61,9 @@ TEST(Tl2, ReadOnlyTransactionsAreCheapAndNeverBlockEachOther) {
       tx.commit(c);
       EXPECT_EQ(sum, 64u * 5u);
     }
-    aborts_total += tx.aborts();
+    aborts_total += tx.stats().aborts;
   }});
   EXPECT_EQ(aborts_total, 0u);
-}
-
-// Property test: a bank-transfer invariant under concurrent TL2 updates.
-TEST(Tl2, MoneyConservationProperty) {
-  Machine m;
-  Tl2Space space(m);
-  constexpr int kAccounts = 32;
-  constexpr std::uint64_t kInitial = 1000;
-  auto accounts = SharedArray<std::uint64_t>::alloc(m, kAccounts, kInitial);
-  m.run({.threads = 8, .body = [&](Context& c) {
-    Tl2Tx tx(space);
-    sim::Xoshiro256 rng(99 + c.tid());
-    for (int i = 0; i < 200; ++i) {
-      const std::size_t from = rng.next_below(kAccounts);
-      const std::size_t to = rng.next_below(kAccounts);
-      const std::uint64_t amt = rng.next_below(20);
-      for (;;) {
-        tx.begin(c);
-        try {
-          const auto f = tx.read(c, accounts.addr(from));
-          const auto t = tx.read(c, accounts.addr(to));
-          if (f >= amt && from != to) {
-            tx.write(c, accounts.addr(from), f - amt);
-            tx.write(c, accounts.addr(to), t + amt);
-          }
-          tx.commit(c);
-          break;
-        } catch (const StmAbort&) {
-          c.compute(200);
-        }
-      }
-    }
-  }});
-  std::uint64_t total = 0;
-  for (int i = 0; i < kAccounts; ++i) total += accounts.at(i).peek(m);
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kAccounts) * kInitial);
 }
 
 TEST(Tl2, InstrumentationCostsMoreThanPlainAccess) {
